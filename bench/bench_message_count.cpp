@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     const double causal_per = causal.effective_per_worker_iter(n);
     const double atomic_per = atomic.effective_per_worker_iter(n);
     const double atomic_noack_per =
-        (atomic.effective_messages() -
+        (static_cast<double>(atomic.stats.effective_messages()) -
          static_cast<double>(atomic.stats[Counter::kMsgInvalidateAck])) /
         static_cast<double>(n * kIterations);
     const std::uint64_t retransmits = causal.stats[Counter::kNetRetransmit] +

@@ -29,15 +29,10 @@ struct SolverRunResult {
   obs::RunMetrics metrics;
   std::chrono::microseconds elapsed{0};
 
-  /// The paper counts protocol messages; busy-wait re-fetches (a READ +
-  /// R_REPLY pair per failed poll) are accounted separately and subtracted.
-  [[nodiscard]] double effective_messages() const {
-    return static_cast<double>(stats.messages_sent()) -
-           2.0 * static_cast<double>(stats[Counter::kSpinRefetch]);
-  }
-
+  /// The paper's per-worker, per-iteration protocol message count
+  /// (StatsSnapshot::effective_messages: busy-wait re-fetches subtracted).
   [[nodiscard]] double effective_per_worker_iter(std::size_t workers) const {
-    return effective_messages() /
+    return static_cast<double>(stats.effective_messages()) /
            static_cast<double>(workers * std::max<std::size_t>(run.iterations, 1));
   }
 };

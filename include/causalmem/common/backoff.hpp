@@ -1,13 +1,42 @@
-// Adaptive busy-wait helper used by the causal memory `wait(B)` idiom.
-// Starts with cheap pauses, escalates to yields, then to short sleeps so a
-// spinning reader does not starve the node's service thread.
+// Busy-wait helpers. Backoff paces the causal memory `wait(B)` idiom: it
+// starts with cheap pauses, escalates to yields, then to short sleeps so a
+// spinning reader does not starve the node's service thread. spin_for is the
+// bounded hot spin a blocked requester runs before parking on its reply.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <thread>
 
+#include "causalmem/obs/clock.hpp"
+
 namespace causalmem {
+
+/// One spin-loop pause: the CPU's spin hint on x86, a yield elsewhere.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Polls `ready` between cpu_relax() pauses until it holds or `budget_ns` of
+/// real time has passed; returns whether it held. A zero budget is a single
+/// check. The budget is timed with obs::steady_now_ns(), never the
+/// installable obs::now_ns(): under a frozen FakeClock that spin would never
+/// end.
+template <typename Ready>
+[[nodiscard]] bool spin_for(std::uint64_t budget_ns, Ready&& ready) {
+  if (ready()) return true;
+  if (budget_ns == 0) return false;
+  const std::uint64_t end_ns = obs::steady_now_ns() + budget_ns;
+  do {
+    cpu_relax();
+    if (ready()) return true;
+  } while (obs::steady_now_ns() < end_ns);
+  return false;
+}
 
 class Backoff {
  public:
@@ -42,14 +71,6 @@ class Backoff {
   [[nodiscard]] std::uint64_t spin_count() const noexcept { return spins_; }
 
  private:
-  static void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-  }
-
   std::chrono::microseconds max_sleep_;
   std::uint64_t spins_{0};
 };

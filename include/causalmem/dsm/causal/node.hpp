@@ -164,7 +164,9 @@ class CausalNode final : public SharedMemory {
     /// installs that this node absorbed while the request was in flight
     /// (see the stale-install guard in complete_pending).
     VectorClock serve_snapshot;
-    std::promise<Message> reply;
+    /// The operation's result: the value a read returns (an ignored echo
+    /// for writes and clock resyncs).
+    std::promise<Value> reply;
   };
 
   /// invalidate_cache sentinel: exempt no page from the sweep.
@@ -214,7 +216,10 @@ class CausalNode final : public SharedMemory {
   /// obs::now_ns()). Returns true when the reply arrived; on expiry the
   /// pending entry is abandoned (late replies are dropped) and false is
   /// returned. With request_timeout == 0, blocks indefinitely.
-  bool await_reply(std::future<Message>& fut, std::uint64_t rid,
+  /// Spins briefly (real time) before parking, so the requester is normally
+  /// still spinning when an inline reply lands and set_value issues no
+  /// futex wake.
+  bool await_reply(std::future<Value>& fut, std::uint64_t rid,
                    std::uint64_t deadline_ns);
 
   /// Blocks until outstanding_async_ drains (the async-mode fence). Takes
@@ -299,9 +304,9 @@ class CausalNode final : public SharedMemory {
     return ownership_.owner(page_base(page_of(x)));
   }
 
-  std::future<Message> register_pending(std::uint64_t rid, bool async,
-                                        std::uint64_t start_ns = 0,
-                                        std::uint64_t trace_id = 0);
+  std::future<Value> register_pending(std::uint64_t rid, bool async,
+                                      std::uint64_t start_ns = 0,
+                                      std::uint64_t trace_id = 0);
 
   /// Mints the correlation id stamped on every message and trace event of
   /// one remote operation: globally unique across nodes (the node id lives

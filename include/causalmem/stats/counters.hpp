@@ -97,6 +97,12 @@ enum class Counter : std::size_t {
   kShardElectionScoped,    ///< catch-up election polled copyset ∪ durable only
   kShardElectionFull,      ///< catch-up election fell back to all live peers
 
+  // --- blocked requester's wait for the owner's reply (local events, NOT
+  // message counters: how a requester waits never changes msgs/op). Each
+  // reply wait counts exactly one of the two ---
+  kReplySpinHit,           ///< the reply arrived during the bounded spin
+  kReplyParked,            ///< the spin ran out: the requester parked
+
   kCounterCount,
 };
 
@@ -187,6 +193,12 @@ struct StatsSnapshot {
 
   /// Total messages sent by this node.
   [[nodiscard]] std::uint64_t messages_sent() const noexcept;
+
+  /// The paper's protocol message count: messages_sent() minus the READ +
+  /// R_REPLY pair of every busy-wait re-fetch (kSpinRefetch), whose number
+  /// depends on timing. Signed: on one node's snapshot the pair's two
+  /// messages are sent by different nodes.
+  [[nodiscard]] std::int64_t effective_messages() const noexcept;
 
   StatsSnapshot& operator+=(const StatsSnapshot& other) noexcept;
   friend StatsSnapshot operator-(StatsSnapshot lhs, const StatsSnapshot& rhs) noexcept;

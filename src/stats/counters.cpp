@@ -62,6 +62,8 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kShardInvalAcked: return "shard.inval_acked";
     case Counter::kShardElectionScoped: return "copyset.election_scoped";
     case Counter::kShardElectionFull: return "copyset.election_full";
+    case Counter::kReplySpinHit: return "wait.spin_hit";
+    case Counter::kReplyParked: return "wait.parked";
     case Counter::kCounterCount: break;
   }
   return "unknown";
@@ -84,6 +86,11 @@ std::uint64_t StatsSnapshot::messages_sent() const noexcept {
     if (is_message_counter(static_cast<Counter>(i))) total += values[i];
   }
   return total;
+}
+
+std::int64_t StatsSnapshot::effective_messages() const noexcept {
+  return static_cast<std::int64_t>(messages_sent()) -
+         2 * static_cast<std::int64_t>((*this)[Counter::kSpinRefetch]);
 }
 
 StatsSnapshot& StatsSnapshot::operator+=(const StatsSnapshot& other) noexcept {

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "causalmem/common/rng.hpp"
 #include "causalmem/dsm/system.hpp"
 #include "causalmem/history/causal_checker.hpp"
 #include "causalmem/history/recorder.hpp"
@@ -244,6 +245,36 @@ TEST(CausalNode, ConcurrentWorkloadIsCausallyConsistent) {
   const auto violation = CausalChecker(recorder.history()).check();
   EXPECT_FALSE(violation.has_value())
       << violation->reason << "\n" << recorder.history().to_string();
+}
+
+TEST(CausalNode, EveryReplyWaitIsOneSpinHitOrOnePark) {
+  // Fault-free, blocking writes, one application thread per node: each read
+  // miss and each remote write waits for exactly one reply, and each wait
+  // ends either in the bounded spin or parked. Neither counter is a message.
+  CausalSystem sys(4);
+  {
+    std::vector<std::jthread> threads;
+    for (NodeId p = 0; p < 4; ++p) {
+      threads.emplace_back([&sys, p] {
+        Rng rng(2000 + p);
+        for (int i = 0; i < 300; ++i) {
+          const Addr a = rng.next_below(16);
+          if (rng.chance(0.5)) {
+            sys.memory(p).write(a, static_cast<Value>(i));
+          } else {
+            (void)sys.memory(p).read(a);
+          }
+        }
+      });
+    }
+  }
+  const StatsSnapshot total = sys.stats().total();
+  const std::uint64_t remote_ops =
+      total[Counter::kReadMiss] + total[Counter::kWriteRemote];
+  ASSERT_GT(remote_ops, 0u);
+  EXPECT_EQ(total[Counter::kReplySpinHit] + total[Counter::kReplyParked],
+            remote_ops);
+  EXPECT_EQ(total.messages_sent(), 2 * remote_ops);
 }
 
 TEST(CausalNode, WorksOverTcpTransport) {

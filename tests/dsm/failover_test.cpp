@@ -4,8 +4,11 @@
 // writestamp-max election, and a transport-restarted node rejoins with a
 // resynced clock. Histories must stay causal through all of it.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <atomic>
 #include <chrono>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -137,6 +140,54 @@ TEST(RequestDeadline, EveryRequestReturnsUnreachableWithinDeadline) {
   EXPECT_EQ(stats.get(Counter::kFoUnreachable), 2u);
   // No failover directory attached: nothing migrated, nothing recovered.
   EXPECT_EQ(sys.failover_directory(), nullptr);
+}
+
+TEST(RequestDeadline, WaiterParksUnderFrozenClock) {
+  // A requester whose owner is down must park, not spin, for as long as its
+  // deadline is pending — even when the virtual clock never moves. (The
+  // pre-park spin is budgeted in real time; budgeted in obs::now_ns() it
+  // would never end under this FakeClock.)
+  obs::FakeClock clock;
+  obs::ScopedClockSource scoped(&clock);
+
+  CausalConfig cfg;
+  cfg.request_timeout = std::chrono::milliseconds(50);
+  cfg.request_retries = 0;
+  SystemOptions options;
+  options.fault_layer = true;
+  DsmSystem<CausalNode> sys(2, cfg, options);
+  ASSERT_NE(sys.faulty_transport(), nullptr);
+  sys.faulty_transport()->crash_node(0);  // owner of addr 0 (striped)
+
+  std::atomic<bool> done{false};
+  ReadResult read_result;
+  std::thread worker([&] {
+    read_result = sys.node(1).try_read(0);
+    done = true;
+  });
+  clockid_t cpu_clock{};
+  ASSERT_EQ(pthread_getcpuclockid(worker.native_handle(), &cpu_clock), 0);
+  const auto cpu_ns = [cpu_clock] {
+    timespec ts{};
+    clock_gettime(cpu_clock, &ts);
+    return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::int64_t cpu_before = cpu_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::int64_t cpu_used = cpu_ns() - cpu_before;
+  EXPECT_FALSE(done.load()) << "the round expired on a frozen clock";
+  EXPECT_LT(cpu_used, 10'000'000) << "waiter burned CPU instead of parking";
+
+  // Moving virtual time past the deadline expires the one round.
+  clock.advance_ns(50'000'000);
+  worker.join();
+  EXPECT_EQ(read_result.status, OpStatus::kUnreachable);
+  const NodeStats& stats = sys.stats().node(1);
+  EXPECT_EQ(stats.get(Counter::kFoRequestTimeout), 1u);
+  EXPECT_EQ(stats.get(Counter::kFoUnreachable), 1u);
+  EXPECT_EQ(stats.get(Counter::kReplyParked), 1u);
+  EXPECT_EQ(stats.get(Counter::kReplySpinHit), 0u);
 }
 
 SystemOptions failover_options() {

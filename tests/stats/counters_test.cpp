@@ -28,6 +28,29 @@ TEST(Counters, MessagesSentCountsOnlyWireCounters) {
   EXPECT_EQ(s.snapshot().messages_sent(), 4u);
 }
 
+TEST(Counters, ReplyWaitCountersAreNotMessages) {
+  NodeStats s;
+  s.bump(Counter::kMsgReadRequest);
+  s.bump(Counter::kReplySpinHit, 7);
+  s.bump(Counter::kReplyParked, 3);
+  EXPECT_EQ(s.snapshot().messages_sent(), 1u);
+  EXPECT_FALSE(is_recovery_counter(Counter::kReplySpinHit));
+  EXPECT_FALSE(is_recovery_counter(Counter::kReplyParked));
+}
+
+TEST(Counters, EffectiveMessagesSubtractSpinRefetchPairs) {
+  NodeStats s;
+  s.bump(Counter::kMsgReadRequest, 10);
+  s.bump(Counter::kMsgReadReply, 10);
+  s.bump(Counter::kSpinRefetch, 4);
+  EXPECT_EQ(s.snapshot().effective_messages(), 12);
+  // One node's snapshot may hold a re-fetch whose pair another node sent.
+  NodeStats requester;
+  requester.bump(Counter::kMsgReadRequest);
+  requester.bump(Counter::kSpinRefetch);
+  EXPECT_EQ(requester.snapshot().effective_messages(), -1);
+}
+
 TEST(Counters, SnapshotArithmetic) {
   NodeStats s;
   s.bump(Counter::kMsgInvalidate, 7);
