@@ -56,15 +56,13 @@ class AtomicNode final : public SharedMemory {
   [[nodiscard]] NodeStats& stats() override { return stats_; }
 
  private:
-  struct OwnedCell {
-    Value value{kInitialValue};
-    WriteTag tag{};
-    std::unordered_set<NodeId> copyset;
-  };
-
   struct CachedCell {
     Value value{kInitialValue};
     WriteTag tag{};
+  };
+
+  struct OwnedCell : CachedCell {
+    std::unordered_set<NodeId> copyset;
   };
 
   /// An invalidation round in progress at the owner for one location.
@@ -85,16 +83,28 @@ class AtomicNode final : public SharedMemory {
   void complete_pending(const Message& m);
 
   /// Applies a completed write and drains the deferred-request queue for x.
-  /// Caller holds mu_; may temporarily release it to send messages.
-  void finish_write(std::unique_lock<std::mutex>& lock, Addr x);
+  /// Caller holds mu_.
+  void finish_write(Addr x);
 
   /// Starts the invalidation round for a write (or applies it immediately if
   /// no copies exist). Caller holds mu_. Returns true if completed inline.
   /// `trace_id` is the write's correlation id: it rides on the INV fan-out,
   /// the acks and the eventual W_REPLY.
-  bool begin_write(std::unique_lock<std::mutex>& lock, Addr x, Value v,
-                   WriteTag tag, NodeId origin, std::uint64_t reply_rid,
-                   std::uint64_t trace_id);
+  bool begin_write(Addr x, Value v, WriteTag tag, NodeId origin,
+                   std::uint64_t reply_rid, std::uint64_t trace_id);
+
+  /// Installs a write whose invalidation round is over (or was empty) and
+  /// queues its W_REPLY unless the owner wrote it. Caller holds mu_.
+  void apply_write(Addr x, Value v, WriteTag tag, NodeId origin,
+                   std::uint64_t reply_rid, std::uint64_t trace_id);
+
+  /// Adds the reader to x's copyset and queues its R_REPLY. Caller holds mu_.
+  void post_read_reply(const Message& req);
+
+  /// Sends the outbox in order, releasing `lock` (mu_) around each send;
+  /// returns at once when another thread is already draining. Every path
+  /// that queues owner-side messages calls this before it lets go of mu_.
+  void flush_outbox(std::unique_lock<std::mutex>& lock);
 
   OwnedCell& owned_cell(Addr x);
   std::future<Message> register_pending(std::uint64_t rid);
@@ -120,6 +130,10 @@ class AtomicNode final : public SharedMemory {
   std::unordered_map<Addr, PendingWrite> in_flight_;
   std::unordered_map<Addr, std::deque<Message>> deferred_;
   std::unordered_map<std::uint64_t, std::promise<Message>> pending_;
+  /// Owner-side sends (replies, INVs, INV acks) in the order they were
+  /// decided under mu_, and whether a thread is sending them (flush_outbox).
+  std::deque<Message> outbox_;
+  bool draining_{false};
   std::uint64_t next_rid_{1};
   std::uint64_t trace_seq_{0};  ///< per-node trace-id counter (new_trace_id)
 };

@@ -25,6 +25,7 @@
 #include <future>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -184,12 +185,46 @@ class CausalNode final : public SharedMemory {
   void serve_write(const Message& m);
   void complete_pending(const Message& m);
   void serve_sync(const Message& m);
-  void serve_recover(const Message& m);
-  /// Answers a writestamp-bounded catch-up request: a copy only when this
-  /// node observed one that beats the requester's durable bound
-  /// (fresher_stamp), else a payload-free "you're current".
-  void serve_catchup(const Message& m);
+  /// Answers a recovery election's poll from the observation log: RECOVER
+  /// with any logged copy, a writestamp-bounded CATCHUP_REQUEST only with a
+  /// copy that beats the requester's durable bound (fresher_stamp), else a
+  /// payload-free "you're current".
+  void serve_election_poll(const Message& m);
   void on_recover_reply(const Message& m);
+
+  /// Owner-side admission shared by READ and WRITE service. False when the
+  /// request must not be served now: stale routing after a failover (the
+  /// request dies; the sender's deadline retries) or a page still awaiting
+  /// its recovery election (queued behind it; `lock` consumed).
+  bool admit_request(const Message& m, std::unique_lock<std::mutex>& lock);
+
+  /// Stamps `rep` as the `type` answer to `req` (same peer, rid, address and
+  /// trace flow) and sends it.
+  void send_reply(MsgType type, const Message& req, Message&& rep);
+
+  /// Adds `holder` to pg's copyset when copysets are on. Caller holds mu_.
+  void subscribe(std::uint64_t pg, NodeId holder);
+
+  /// The owned cell (when its page is ready locally) or cached cell for x,
+  /// or null on a miss; a cache hit refreshes the page's LRU position.
+  /// Caller holds mu_.
+  const Cell* local_cell(Addr x);
+
+  /// A request of `type` from this node to `to`, about x, on operation flow
+  /// `trace_id` (request_id 0: owner round trips assign one per round).
+  [[nodiscard]] Message request(MsgType type, NodeId to, Addr x = 0,
+                                std::uint64_t trace_id = 0) const;
+
+  /// The blocking owner round trip of a read miss or remote write (Fig. 4).
+  /// Entered with the operation lock held, so round 0 leaves for `req.to`
+  /// in the hold that decided to go remote; returns with it released.
+  /// Every round sends `req` under a fresh rid, and each later round
+  /// re-resolves the owner. With request_timeout set, expired rounds retry
+  /// up to request_retries times and then the operation is reported
+  /// Unreachable (nullopt).
+  std::optional<Value> owner_round_trip(std::unique_lock<std::mutex>& lock,
+                                        Message&& req,
+                                        const OpTiming& op_start);
 
   /// True when this node may serve/read the page from its own owned_ cells:
   /// always without failover; with failover, when it is the page's static
@@ -212,6 +247,10 @@ class CausalNode final : public SharedMemory {
   /// fault-free path stays allocation-free). Caller holds mu_.
   void log_observe(Addr x, const Cell& c);
 
+  /// log_observe for a W_REPLY: the standing cell the owner reported, or
+  /// our own write when it was accepted as sent. Caller holds mu_.
+  void log_write_reply(const Message& m);
+
   /// Waits for `fut` with the configured per-round deadline (virtual time:
   /// obs::now_ns()). Returns true when the reply arrived; on expiry the
   /// pending entry is abandoned (late replies are dropped) and false is
@@ -227,12 +266,9 @@ class CausalNode final : public SharedMemory {
   /// released around the cooperative wait.
   void wait_flushed(std::unique_lock<std::mutex>& lock);
 
-  /// Deadline bookkeeping for one expired round against `target`.
-  void on_round_timeout(NodeId target, Addr x, std::uint64_t epoch_at_send);
-
-  /// Fires the flight-recorder unreachable trigger (no-op when none is
-  /// attached). Called after an operation surfaces OpStatus::kUnreachable.
-  void notify_unreachable(MsgType op, NodeId target, Addr x);
+  /// Files a suspicion of `target` after a request to it went unanswered,
+  /// unless this node's own endpoint went down since `epoch_at_send`.
+  void on_round_timeout(NodeId target, std::uint64_t epoch_at_send);
 
   /// Returns the owned cell for x, creating the initial-value cell on first
   /// touch (the paper: locations are initialized by distinguished writes
@@ -253,11 +289,17 @@ class CausalNode final : public SharedMemory {
   void invalidate_cache(const VectorClock& threshold, std::uint64_t keep_page,
                         std::uint64_t trace_id = 0);
 
-  /// `record_unsub` is false only for the install_page replacement erase —
-  /// the page is being refreshed, not dropped, so the owner must keep this
-  /// node in the copyset.
-  void erase_page(FlatHashMap<std::uint64_t, CachedPage>::iterator it,
-                  bool record_unsub = true);
+  using PageIt = FlatHashMap<std::uint64_t, CachedPage>::iterator;
+
+  /// Drops a cached page; returns the next page. `record_unsub` is false
+  /// only for the install_page replacement erase — the page is being
+  /// refreshed, not dropped, so the owner must keep this node in the copyset.
+  PageIt erase_page(PageIt it, bool record_unsub = true);
+
+  /// The paper's `discard` of a cached page (explicit, or LRU replacement):
+  /// counted and traced at `x`, then erased. Caller holds mu_.
+  void discard_page(PageIt it, Addr x);
+
   void touch_lru(CachedPage& cp);
   void evict_over_capacity();
 
@@ -266,7 +308,7 @@ class CausalNode final : public SharedMemory {
 
   /// Any sharding feature on: subscriber sets are maintained.
   [[nodiscard]] bool copysets_on() const noexcept {
-    return cfg_.copysets || cfg_.push_invalidation || cfg_.scoped_catchup;
+    return cfg_.copysets || cfg_.push_invalidation;
   }
 
   /// The ONLY way protocol/recovery frames leave this node: drains the

@@ -94,8 +94,7 @@ enum class Counter : std::size_t {
   kShardInvalPiggybacked,  ///< one queued notice rode an existing frame
   kShardInvalApplied,      ///< one piggybacked notice dropped a cached page
   kShardInvalAcked,        ///< one aggregated invalidation ack received
-  kShardElectionScoped,    ///< catch-up election polled copyset ∪ durable only
-  kShardElectionFull,      ///< catch-up election fell back to all live peers
+  kShardElectionFull,      ///< catch-up election polled all live peers
 
   // --- blocked requester's wait for the owner's reply (local events, NOT
   // message counters: how a requester waits never changes msgs/op). Each
@@ -158,7 +157,6 @@ inline constexpr std::size_t kNumLatencyMetrics =
     case Counter::kPersistCatchupRequest:
     case Counter::kPersistCatchupReply:
     case Counter::kPersistCatchupFresher:
-    case Counter::kShardElectionScoped:
     case Counter::kShardElectionFull:
       return true;
     default:

@@ -2,23 +2,9 @@
 
 #include "causalmem/common/expect.hpp"
 #include "causalmem/obs/trace.hpp"
+#include "../op_done.hpp"
 
 namespace causalmem {
-
-namespace {
-
-/// Operation-completion span + latency sample (tr may be null: tracing off).
-void record_op_done(NodeStats& stats, obs::Tracer* tr, LatencyMetric metric,
-                    obs::TraceEventKind kind, Addr x, const OpTiming& done,
-                    std::uint64_t trace_id = 0) noexcept {
-  const std::uint64_t dur = done.end_ns - done.start_ns;
-  stats.record_latency(metric, dur);
-  if (tr != nullptr) {
-    tr->record(kind, 0, kNoNode, x, nullptr, done.start_ns, dur, trace_id);
-  }
-}
-
-}  // namespace
 
 AtomicNode::AtomicNode(NodeId id, std::size_t n, const Ownership& ownership,
                        Transport& transport, NodeStats& stats,
@@ -40,52 +26,36 @@ AtomicNode::AtomicNode(NodeId id, std::size_t n, const Ownership& ownership,
 Value AtomicNode::read(Addr x) {
   const OpTiming op_start = OpTiming::begin();
   obs::Tracer* const tr = stats_.tracer();
-  {
-    std::unique_lock lock(mu_);
-    if (ownership_.owner(x) == id_) {
-      // Strong consistency: do not expose a value mid-invalidation-round.
-      write_done_cv_.wait(lock, [&] { return !in_flight_.contains(x); });
-      OwnedCell& c = owned_cell(x);
-      stats_.bump(Counter::kReadHit);
-      if (tr != nullptr) {
-        tr->record(obs::TraceEventKind::kReadHit, 0, kNoNode, x);
-      }
-      const Value v = c.value;
-      const WriteTag tag = c.tag;
-      const OpTiming done = op_start.close();
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, done);
-      if (observer_ != nullptr) {
-        observer_->on_read(id_, x, v, tag, done);
-      }
-      return v;
-    }
-    if (auto it = cache_.find(x); it != cache_.end()) {
-      stats_.bump(Counter::kReadHit);
-      if (tr != nullptr) {
-        tr->record(obs::TraceEventKind::kReadHit, 0, kNoNode, x);
-      }
-      const Value v = it->second.value;
-      const WriteTag tag = it->second.tag;
-      const OpTiming done = op_start.close();
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, done);
-      if (observer_ != nullptr) {
-        observer_->on_read(id_, x, v, tag, done);
-      }
-      return v;
-    }
-    stats_.bump(Counter::kReadMiss);
-    if (tr != nullptr) {
-      tr->record(obs::TraceEventKind::kReadMiss, 0, ownership_.owner(x), x);
-    }
-  }
-
   std::uint64_t rid;
   std::uint64_t tid;
   std::future<Message> fut;
   {
     std::unique_lock lock(mu_);
+    const CachedCell* hit = nullptr;
+    if (ownership_.owner(x) == id_) {
+      // Strong consistency: do not expose a value mid-invalidation-round.
+      write_done_cv_.wait(lock, [&] { return !in_flight_.contains(x); });
+      hit = &owned_cell(x);
+    } else if (auto it = cache_.find(x); it != cache_.end()) {
+      hit = &it->second;
+    }
+    if (hit != nullptr) {
+      stats_.bump(Counter::kReadHit);
+      if (tr != nullptr) {
+        tr->record(obs::TraceEventKind::kReadHit, 0, kNoNode, x);
+      }
+      const OpTiming done = op_start.close();
+      record_op_done(stats_, tr, LatencyMetric::kReadNs,
+                     obs::TraceEventKind::kReadDone, x, done);
+      if (observer_ != nullptr) {
+        observer_->on_read(id_, x, hit->value, hit->tag, done);
+      }
+      return hit->value;
+    }
+    stats_.bump(Counter::kReadMiss);
+    if (tr != nullptr) {
+      tr->record(obs::TraceEventKind::kReadMiss, 0, ownership_.owner(x), x);
+    }
     rid = next_rid_++;
     tid = new_trace_id();
     fut = register_pending(rid);
@@ -124,7 +94,9 @@ void AtomicNode::write(Addr x, Value v) {
     // A local write still fans out invalidations; the id correlates them.
     const std::uint64_t tid = new_trace_id();
     write_done_cv_.wait(lock, [&] { return !in_flight_.contains(x); });
-    if (!begin_write(lock, x, v, tag, id_, 0, tid)) {
+    const bool applied = begin_write(x, v, tag, id_, 0, tid);
+    flush_outbox(lock);
+    if (!applied) {
       // Our round is in flight; wait until it completes (our write applies —
       // possibly to be overwritten by a deferred write right after, which is
       // a legitimate subsequent event, not a failure of ours).
@@ -217,20 +189,8 @@ void AtomicNode::serve_read(const Message& m) {
     deferred_[m.addr].push_back(m);
     return;
   }
-  OwnedCell& c = owned_cell(m.addr);
-  c.copyset.insert(m.from);
-  Message rep;
-  rep.type = MsgType::kReadReply;
-  rep.from = id_;
-  rep.to = m.from;
-  rep.request_id = m.request_id;
-  rep.addr = m.addr;
-  rep.value = c.value;
-  rep.tag = c.tag;
-  rep.trace_id = m.trace_id;  // the reply stays on the requester's flow
-  stats_.bump(Counter::kMsgReadReply);
-  lock.unlock();
-  transport_.send(std::move(rep));
+  post_read_reply(m);
+  flush_outbox(lock);
 }
 
 void AtomicNode::serve_write(const Message& m) {
@@ -240,43 +200,60 @@ void AtomicNode::serve_write(const Message& m) {
     deferred_[m.addr].push_back(m);
     return;
   }
-  (void)begin_write(lock, m.addr, m.value, m.tag, m.from, m.request_id,
-                    m.trace_id);
+  (void)begin_write(m.addr, m.value, m.tag, m.from, m.request_id, m.trace_id);
+  flush_outbox(lock);
 }
 
-bool AtomicNode::begin_write(std::unique_lock<std::mutex>& lock, Addr x,
-                             Value v, WriteTag tag, NodeId origin,
+void AtomicNode::post_read_reply(const Message& req) {
+  OwnedCell& c = owned_cell(req.addr);
+  c.copyset.insert(req.from);
+  Message rep;
+  rep.type = MsgType::kReadReply;
+  rep.from = id_;
+  rep.to = req.from;
+  rep.request_id = req.request_id;
+  rep.addr = req.addr;
+  rep.value = c.value;
+  rep.tag = c.tag;
+  rep.trace_id = req.trace_id;  // the reply stays on the requester's flow
+  stats_.bump(Counter::kMsgReadReply);
+  outbox_.push_back(std::move(rep));
+}
+
+void AtomicNode::apply_write(Addr x, Value v, WriteTag tag, NodeId origin,
+                             std::uint64_t reply_rid, std::uint64_t trace_id) {
+  OwnedCell& c = owned_cell(x);
+  c.value = v;
+  c.tag = tag;
+  c.copyset.clear();
+  if (obs::Tracer* t = stats_.tracer()) {
+    t->record(obs::TraceEventKind::kApply,
+              static_cast<std::uint8_t>(MsgType::kWrite), origin, x, nullptr,
+              0, 0, trace_id);
+  }
+  if (origin == id_) return;
+  c.copyset.insert(origin);
+  Message rep;
+  rep.type = MsgType::kWriteReply;
+  rep.from = id_;
+  rep.to = origin;
+  rep.request_id = reply_rid;
+  rep.addr = x;
+  rep.value = v;
+  rep.tag = tag;
+  rep.trace_id = trace_id;
+  stats_.bump(Counter::kMsgWriteReply);
+  outbox_.push_back(std::move(rep));
+}
+
+bool AtomicNode::begin_write(Addr x, Value v, WriteTag tag, NodeId origin,
                              std::uint64_t reply_rid,
                              std::uint64_t trace_id) {
   CM_ASSERT(!in_flight_.contains(x));
-  OwnedCell& c = owned_cell(x);
-  std::unordered_set<NodeId> members = c.copyset;
+  std::unordered_set<NodeId> members = owned_cell(x).copyset;
   members.erase(origin);  // the writer gets the new value via its reply
   if (members.empty()) {
-    c.value = v;
-    c.tag = tag;
-    c.copyset.clear();
-    if (obs::Tracer* t = stats_.tracer()) {
-      t->record(obs::TraceEventKind::kApply,
-                static_cast<std::uint8_t>(MsgType::kWrite), origin, x, nullptr,
-                0, 0, trace_id);
-    }
-    if (origin != id_) {
-      c.copyset.insert(origin);
-      Message rep;
-      rep.type = MsgType::kWriteReply;
-      rep.from = id_;
-      rep.to = origin;
-      rep.request_id = reply_rid;
-      rep.addr = x;
-      rep.value = v;
-      rep.tag = tag;
-      rep.trace_id = trace_id;
-      stats_.bump(Counter::kMsgWriteReply);
-      lock.unlock();
-      transport_.send(std::move(rep));
-      lock.lock();
-    }
+    apply_write(x, v, tag, origin, reply_rid, trace_id);
     return true;
   }
 
@@ -290,29 +267,28 @@ bool AtomicNode::begin_write(std::unique_lock<std::mutex>& lock, Addr x,
     inv.addr = x;
     inv.trace_id = trace_id;  // the fan-out belongs to the write's flow
     stats_.bump(Counter::kMsgInvalidate);
-    transport_.send(std::move(inv));
+    outbox_.push_back(std::move(inv));
   }
   return false;
 }
 
 void AtomicNode::handle_inv(const Message& m) {
-  {
-    std::unique_lock lock(mu_);
-    cache_.erase(m.addr);
-    stats_.bump(Counter::kInvalidationApplied);
-    if (obs::Tracer* t = stats_.tracer()) {
-      t->record(obs::TraceEventKind::kInvalidate, 0, m.from, m.addr, nullptr,
-                0, 0, m.trace_id);
-    }
-    stats_.bump(Counter::kMsgInvalidateAck);
+  std::unique_lock lock(mu_);
+  cache_.erase(m.addr);
+  stats_.bump(Counter::kInvalidationApplied);
+  if (obs::Tracer* t = stats_.tracer()) {
+    t->record(obs::TraceEventKind::kInvalidate, 0, m.from, m.addr, nullptr, 0,
+              0, m.trace_id);
   }
+  stats_.bump(Counter::kMsgInvalidateAck);
   Message ack;
   ack.type = MsgType::kInvalidateAck;
   ack.from = id_;
   ack.to = m.from;
   ack.addr = m.addr;
   ack.trace_id = m.trace_id;  // the ack closes one edge of the write's flow
-  transport_.send(std::move(ack));
+  outbox_.push_back(std::move(ack));
+  flush_outbox(lock);
 }
 
 void AtomicNode::handle_inv_ack(const Message& m) {
@@ -320,42 +296,16 @@ void AtomicNode::handle_inv_ack(const Message& m) {
   auto it = in_flight_.find(m.addr);
   CM_ASSERT_MSG(it != in_flight_.end(), "stray INV_ACK");
   CM_ASSERT(it->second.remaining > 0);
-  if (--it->second.remaining == 0) {
-    finish_write(lock, m.addr);
-  }
+  if (--it->second.remaining == 0) finish_write(m.addr);
+  flush_outbox(lock);
 }
 
-void AtomicNode::finish_write(std::unique_lock<std::mutex>& lock, Addr x) {
+void AtomicNode::finish_write(Addr x) {
   auto it = in_flight_.find(x);
   CM_ASSERT(it != in_flight_.end());
   const PendingWrite pw = it->second;
   in_flight_.erase(it);
-
-  OwnedCell& c = owned_cell(x);
-  c.value = pw.value;
-  c.tag = pw.tag;
-  c.copyset.clear();
-  if (obs::Tracer* t = stats_.tracer()) {
-    t->record(obs::TraceEventKind::kApply,
-              static_cast<std::uint8_t>(MsgType::kWrite), pw.origin, x,
-              nullptr, 0, 0, pw.trace_id);
-  }
-  if (pw.origin != id_) {
-    c.copyset.insert(pw.origin);
-    Message rep;
-    rep.type = MsgType::kWriteReply;
-    rep.from = id_;
-    rep.to = pw.origin;
-    rep.request_id = pw.reply_rid;
-    rep.addr = x;
-    rep.value = pw.value;
-    rep.tag = pw.tag;
-    rep.trace_id = pw.trace_id;
-    stats_.bump(Counter::kMsgWriteReply);
-    lock.unlock();
-    transport_.send(std::move(rep));
-    lock.lock();
-  }
+  apply_write(x, pw.value, pw.tag, pw.origin, pw.reply_rid, pw.trace_id);
   write_done_cv_.notify_all();
 
   // Drain requests that arrived during the round. A deferred WRITE may begin
@@ -366,30 +316,31 @@ void AtomicNode::finish_write(std::unique_lock<std::mutex>& lock, Addr x) {
     const Message next = dq->second.front();
     dq->second.pop_front();
     if (next.type == MsgType::kRead) {
-      OwnedCell& cell = owned_cell(x);
-      cell.copyset.insert(next.from);
-      Message rep;
-      rep.type = MsgType::kReadReply;
-      rep.from = id_;
-      rep.to = next.from;
-      rep.request_id = next.request_id;
-      rep.addr = x;
-      rep.value = cell.value;
-      rep.tag = cell.tag;
-      rep.trace_id = next.trace_id;
-      stats_.bump(Counter::kMsgReadReply);
-      lock.unlock();
-      transport_.send(std::move(rep));
-      lock.lock();
-      dq = deferred_.find(x);
+      post_read_reply(next);
     } else {
       CM_ASSERT(next.type == MsgType::kWrite);
-      (void)begin_write(lock, x, next.value, next.tag, next.from,
-                        next.request_id, next.trace_id);
-      dq = deferred_.find(x);
+      (void)begin_write(x, next.value, next.tag, next.from, next.request_id,
+                        next.trace_id);
     }
   }
   if (dq != deferred_.end() && dq->second.empty()) deferred_.erase(dq);
+}
+
+void AtomicNode::flush_outbox(std::unique_lock<std::mutex>& lock) {
+  // One drainer at a time sends the queue front to back, so every channel
+  // carries the owner's messages in decision order: an INV can never
+  // overtake the reply that put its target in the copyset. Sends happen
+  // with mu_ released — an inline reply runs the receiver's handler.
+  if (draining_) return;  // the active drainer sends what we queued
+  draining_ = true;
+  while (!outbox_.empty()) {
+    Message m = std::move(outbox_.front());
+    outbox_.pop_front();
+    lock.unlock();
+    transport_.send(std::move(m));
+    lock.lock();
+  }
+  draining_ = false;
 }
 
 void AtomicNode::complete_pending(const Message& m) {

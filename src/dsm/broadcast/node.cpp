@@ -3,6 +3,7 @@
 #include "causalmem/common/coop.hpp"
 #include "causalmem/common/expect.hpp"
 #include "causalmem/obs/trace.hpp"
+#include "../op_done.hpp"
 
 namespace causalmem {
 
@@ -33,12 +34,8 @@ Value BroadcastNode::read(Addr x) {
   const Value v = it != store_.end() ? it->second.value : kInitialValue;
   const WriteTag tag = it != store_.end() ? it->second.tag : WriteTag{};
   const OpTiming done = op_start.close();
-  const std::uint64_t dur = done.end_ns - done.start_ns;
-  stats_.record_latency(LatencyMetric::kReadNs, dur);
-  if (tr != nullptr) {
-    tr->record(obs::TraceEventKind::kReadDone, 0, kNoNode, x, nullptr,
-               done.start_ns, dur);
-  }
+  record_op_done(stats_, tr, LatencyMetric::kReadNs,
+                 obs::TraceEventKind::kReadDone, x, done);
   if (observer_ != nullptr) {
     observer_->on_read(id_, x, v, tag, done);
   }
@@ -60,12 +57,8 @@ void BroadcastNode::write(Addr x, Value v) {
     store_[x] = StoredCell{v, tag};
     const std::uint64_t tid = new_trace_id();
     const OpTiming done = op_start.close();
-    const std::uint64_t dur = done.end_ns - done.start_ns;
-    stats_.record_latency(LatencyMetric::kWriteNs, dur);
-    if (tr != nullptr) {
-      tr->record(obs::TraceEventKind::kWriteDone, 0, kNoNode, x, nullptr,
-                 done.start_ns, dur, tid);
-    }
+    record_op_done(stats_, tr, LatencyMetric::kWriteNs,
+                   obs::TraceEventKind::kWriteDone, x, done, tid);
     if (observer_ != nullptr) {
       observer_->on_write(id_, x, v, tag, true, done);
     }

@@ -12,22 +12,11 @@
 #include "causalmem/obs/flight_recorder.hpp"
 #include "causalmem/obs/trace.hpp"
 #include "causalmem/persist/store.hpp"
+#include "../op_done.hpp"
 
 namespace causalmem {
 
 namespace {
-
-/// Records an operation-completion span and its latency sample. `tr` may be
-/// null (tracing off) — the latency histogram is always recorded.
-void record_op_done(NodeStats& stats, obs::Tracer* tr, LatencyMetric metric,
-                    obs::TraceEventKind kind, Addr x, const OpTiming& done,
-                    std::uint64_t trace_id = 0) noexcept {
-  const std::uint64_t dur = done.end_ns - done.start_ns;
-  stats.record_latency(metric, dur);
-  if (tr != nullptr) {
-    tr->record(kind, 0, kNoNode, x, nullptr, done.start_ns, dur, trace_id);
-  }
-}
 
 /// How long a blocked requester spins on its reply before parking: about
 /// twice the fault-free owner round trip measured on the in-memory
@@ -86,114 +75,39 @@ Value CausalNode::read(Addr x) {
 ReadResult CausalNode::try_read(Addr x) {
   const OpTiming op_start = OpTiming::begin();
   obs::Tracer* const tr = stats_.tracer();
-  const std::uint64_t pg = page_of(x);
-  // Correlation id for the whole miss (all retry rounds share it); 0 until
-  // the operation is known to go remote.
-  std::uint64_t tid = 0;
-  {
-    std::unique_lock lock(mu_);
-    if (owner_of(x) == id_ && page_ready_locally(pg)) {
-      Cell& c = owned_cell(x);
-      stats_.bump(Counter::kReadHit);
-      if (tr != nullptr) {
-        tr->record(obs::TraceEventKind::kReadHit, 0, kNoNode, x, &vt_);
-      }
-      const Value v = c.value;
-      const WriteTag tag = c.tag;
-      const OpTiming done = op_start.close();
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, done);
-      if (observer_ != nullptr) {
-        observer_->on_read(id_, x, v, tag, done);
-      }
-      return ReadResult{OpStatus::kOk, v};
-    }
-    if (!cfg_.read_through) {
-      if (auto it = cache_.find(pg); it != cache_.end()) {
-        touch_lru(it->second);
-        const Cell& c = it->second.cells[x - page_base(pg)];
-        stats_.bump(Counter::kReadHit);
-        if (tr != nullptr) {
-          tr->record(obs::TraceEventKind::kReadHit, 0, kNoNode, x, &vt_);
-        }
-        const Value v = c.value;
-        const WriteTag tag = c.tag;
-        const OpTiming done = op_start.close();
-        record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                       obs::TraceEventKind::kReadDone, x, done);
-        if (observer_ != nullptr) {
-          observer_->on_read(id_, x, v, tag, done);
-        }
-        return ReadResult{OpStatus::kOk, v};
-      }
-    }
-    stats_.bump(Counter::kReadMiss);
-    tid = new_trace_id();
+  std::unique_lock lock(mu_);
+  if (const Cell* c = local_cell(x)) {
+    stats_.bump(Counter::kReadHit);
     if (tr != nullptr) {
-      tr->record(obs::TraceEventKind::kReadMiss, 0, owner_of(x), x, &vt_, 0, 0,
-                 tid);
+      tr->record(obs::TraceEventKind::kReadHit, 0, kNoNode, x, &vt_);
     }
+    const OpTiming done = op_start.close();
+    record_op_done(stats_, tr, LatencyMetric::kReadNs,
+                   obs::TraceEventKind::kReadDone, x, done);
+    if (observer_ != nullptr) {
+      observer_->on_read(id_, x, c->value, c->tag, done);
+    }
+    return ReadResult{OpStatus::kOk, c->value};
   }
-
-  // Read miss: request a current copy from the owner and block (Fig. 4),
-  // bounded by the per-round deadline when one is configured. Each round
-  // re-resolves the owner, so a failover between rounds redirects the retry
-  // to the successor. The send happens under the operation mutex so the
-  // channel order to each owner equals the node's operation-issue order
-  // (several application threads may share this node).
-  const bool bounded = cfg_.request_timeout.count() > 0;
-  const std::uint64_t timeout_ns =
-      static_cast<std::uint64_t>(cfg_.request_timeout.count());
-  const std::uint32_t rounds = bounded ? cfg_.request_retries + 1 : 1;
-  NodeId target = kNoNode;
-  for (std::uint32_t round = 0; round < rounds; ++round) {
-    std::future<Value> fut;
-    std::uint64_t rid = 0;
-    std::uint64_t epoch_at_send = 0;
-    {
-      std::unique_lock lock(mu_);
-      target = owner_of(x);
-      rid = next_rid_++;
-      epoch_at_send = transport_.endpoint_epoch(id_);
-      fut = register_pending(rid, /*async=*/false, op_start.start_ns, tid);
-      Message req;
-      req.type = MsgType::kRead;
-      req.from = id_;
-      req.to = target;
-      req.request_id = rid;
-      req.addr = x;
-      req.trace_id = tid;
-      // The stamp stays empty: the owner ignores it, and empty clocks are
-      // transparent to the channel's delta baseline.
-      stats_.bump(Counter::kMsgReadRequest);
-      send_msg(std::move(req));
-    }
-
-    // The reply was already applied (clock merge, per-cell install
-    // preferring locally newer own writes, invalidation sweep, observer
-    // notification) by complete_pending on the delivery thread — in FIFO
-    // position, so a later WRITE service can never sweep past a
-    // not-yet-installed stale copy, and the recorded per-node operation
-    // order is the order effects actually took place (which is what makes
-    // several application threads per node sound). complete_pending put the
-    // chosen value into the reply.
-    const std::uint64_t deadline = bounded ? obs::now_ns() + timeout_ns : 0;
-    if (await_reply(fut, rid, deadline)) {
-      const Value v = fut.get();
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, op_start.close(), tid);
-      return ReadResult{OpStatus::kOk, v};
-    }
-    on_round_timeout(target, x, epoch_at_send);
-  }
-  stats_.bump(Counter::kFoUnreachable);
+  stats_.bump(Counter::kReadMiss);
+  // Correlation id for the whole miss (all retry rounds share it).
+  Message req = request(MsgType::kRead, owner_of(x), x, new_trace_id());
   if (tr != nullptr) {
-    tr->record(obs::TraceEventKind::kUnreachable,
-               static_cast<std::uint8_t>(MsgType::kRead), target, x, nullptr,
-               0, 0, tid);
+    tr->record(obs::TraceEventKind::kReadMiss, 0, req.to, x, &vt_, 0, 0,
+               req.trace_id);
   }
-  notify_unreachable(MsgType::kRead, target, x);
-  return ReadResult{OpStatus::kUnreachable, 0};
+  // Read miss: request a current copy from the owner and block (Fig. 4).
+  // The reply was already applied (clock merge, per-cell install preferring
+  // locally newer own writes, invalidation sweep, observer notification) by
+  // complete_pending on the delivery thread — in FIFO position, so a later
+  // WRITE service can never sweep past a not-yet-installed stale copy, and
+  // the recorded per-node operation order is the order effects actually
+  // took place (which is what makes several application threads per node
+  // sound). complete_pending put the chosen value into the reply.
+  const std::optional<Value> v =
+      owner_round_trip(lock, std::move(req), op_start);
+  return v ? ReadResult{OpStatus::kOk, *v}
+           : ReadResult{OpStatus::kUnreachable, 0};
 }
 
 void CausalNode::write(Addr x, Value v) {
@@ -248,8 +162,6 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   // Remote write — possibly to ourselves: a page acquired by failover but
   // not yet recovered routes through the transport like any other request,
   // so it queues behind the page's election in arrival order.
-  NodeId target = owner_of(x);
-  const VectorClock stamp_at_issue = vt_;
   stats_.bump(Counter::kWriteRemote);
   // Remember our latest write into this page so read replies that predate
   // it (race: READ overtaken by this WRITE's effect) are retried.
@@ -275,79 +187,23 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   // reads x between our issue and the owner's reply must see this write:
   // it is already in this node's program order. (Read-through mode caches
   // nothing; a sibling's read reaches the owner FIFO-behind this WRITE.)
-  if (!cfg_.read_through) cache_own_write(x, v, tag, stamp_at_issue);
+  if (!cfg_.read_through) cache_own_write(x, v, tag, vt_);
 
-  const bool async = cfg_.write_mode == WriteMode::kAsync;
-  const std::uint64_t tid = new_trace_id();
-  std::uint64_t rid = next_rid_++;
-  std::future<Value> fut =
-      register_pending(rid, async, op_start.start_ns, tid);
-  if (async) {
-    ++outstanding_async_;
-    async_chain_owner_ = target;
-  }
-  Message req;
-  req.type = MsgType::kWrite;
-  req.from = id_;
-  req.to = target;
-  req.request_id = rid;
-  req.addr = x;
+  Message req = request(MsgType::kWrite, owner_of(x), x, new_trace_id());
   req.value = v;
   req.tag = tag;
-  req.stamp = stamp_at_issue;
-  req.trace_id = tid;
-  stats_.bump(Counter::kMsgWriteRequest);
-  std::uint64_t epoch_at_send = transport_.endpoint_epoch(id_);
-  send_msg(Message(req));
-  lock.unlock();
-
-  if (async) {
-    // Certification happens in the background (complete_pending); deadline
-    // handling does not apply — flush() is the fence.
-    record_op_done(stats_, tr, LatencyMetric::kWriteNs,
-                   obs::TraceEventKind::kWriteDone, x, op_start.close(), tid);
-    return OpStatus::kOk;
-  }
-
-  // Deadline-bounded certification: every retry round re-sends the SAME
-  // tag and issue stamp (idempotent at the owner — serve_write recognizes
-  // an already-applied write) to the freshly resolved owner.
-  const bool bounded = cfg_.request_timeout.count() > 0;
-  const std::uint64_t timeout_ns =
-      static_cast<std::uint64_t>(cfg_.request_timeout.count());
-  const std::uint32_t rounds = bounded ? cfg_.request_retries + 1 : 1;
-  for (std::uint32_t round = 0; round < rounds; ++round) {
-    if (round > 0) {
-      std::unique_lock relock(mu_);
-      target = owner_of(x);
-      rid = next_rid_++;
-      epoch_at_send = transport_.endpoint_epoch(id_);
-      fut = register_pending(rid, /*async=*/false, op_start.start_ns, tid);
-      Message retry = req;
-      retry.to = target;
-      retry.request_id = rid;
-      stats_.bump(Counter::kMsgWriteRequest);
-      send_msg(std::move(retry));
-    }
-    const std::uint64_t deadline = bounded ? obs::now_ns() + timeout_ns : 0;
-    if (await_reply(fut, rid, deadline)) {
-      // Clock merge and cache refresh happened in complete_pending on the
-      // delivery thread (FIFO position — see the read path comment).
-      (void)fut.get();
-      record_op_done(stats_, tr, LatencyMetric::kWriteNs,
-                     obs::TraceEventKind::kWriteDone, x, op_start.close(),
-                     tid);
-      return OpStatus::kOk;
-    }
-    on_round_timeout(target, x, epoch_at_send);
-  }
-
-  // Exhausted. Unwind what the issue sequence promised: the per-page
-  // own-write requirement (a read reply must not wait forever for a write
-  // that may never have landed) and the issue-time local install (nobody
-  // must read a value the system may never have accepted).
-  {
-    std::unique_lock relock(mu_);
+  req.stamp = vt_;
+  if (cfg_.write_mode == WriteMode::kBlocking) {
+    // Deadline-bounded certification: every retry round re-sends the SAME
+    // tag and issue stamp (idempotent at the owner — serve_write recognizes
+    // an already-applied write) to the freshly resolved owner. Clock merge
+    // and cache refresh happen in complete_pending on the delivery thread.
+    if (owner_round_trip(lock, std::move(req), op_start)) return OpStatus::kOk;
+    // Exhausted. Unwind what the issue sequence promised: the per-page
+    // own-write requirement (a read reply must not wait forever for a write
+    // that may never have landed) and the issue-time local install (nobody
+    // must read a value the system may never have accepted).
+    lock.lock();
     if (auto ow = own_writes_.find(pg); ow != own_writes_.end()) {
       ow->second.outstanding.erase(tag.seq);
     }
@@ -357,26 +213,85 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
         if (c.tag == tag) erase_page(pit);
       }
     }
+    return OpStatus::kUnreachable;
+  }
+  // Async: certification happens in the background (complete_pending);
+  // deadline handling does not apply — flush() is the fence.
+  req.request_id = next_rid_++;
+  (void)register_pending(req.request_id, /*async=*/true, op_start.start_ns,
+                         req.trace_id);
+  ++outstanding_async_;
+  async_chain_owner_ = req.to;
+  stats_.bump(Counter::kMsgWriteRequest);
+  const std::uint64_t tid = req.trace_id;
+  send_msg(std::move(req));
+  lock.unlock();
+  record_op_done(stats_, tr, LatencyMetric::kWriteNs,
+                 obs::TraceEventKind::kWriteDone, x, op_start.close(), tid);
+  return OpStatus::kOk;
+}
+
+std::optional<Value> CausalNode::owner_round_trip(
+    std::unique_lock<std::mutex>& lock, Message&& req,
+    const OpTiming& op_start) {
+  const MsgType type = req.type;
+  const bool read = type == MsgType::kRead;
+  const Addr x = req.addr;
+  const std::uint64_t tid = req.trace_id;
+  obs::Tracer* const tr = stats_.tracer();
+  // Bounded by the per-round deadline when one is configured. Each round
+  // re-resolves the owner, so a failover between rounds redirects the retry
+  // to the successor. The send happens under the operation mutex so the
+  // channel order to each owner equals the node's operation-issue order
+  // (several application threads may share this node).
+  const auto timeout_ns =
+      static_cast<std::uint64_t>(cfg_.request_timeout.count());
+  const std::uint32_t rounds = timeout_ns > 0 ? cfg_.request_retries + 1 : 1;
+  NodeId target = req.to;  // resolved by the caller in this lock hold
+  for (std::uint32_t round = 0; round < rounds; ++round) {
+    if (round > 0) {
+      lock.lock();
+      target = owner_of(x);
+    }
+    const std::uint64_t rid = next_rid_++;
+    const std::uint64_t epoch_at_send = transport_.endpoint_epoch(id_);
+    std::future<Value> fut =
+        register_pending(rid, /*async=*/false, op_start.start_ns, tid);
+    req.to = target;
+    req.request_id = rid;
+    stats_.bump(read ? Counter::kMsgReadRequest : Counter::kMsgWriteRequest);
+    send_msg(round + 1 < rounds ? Message(req) : std::move(req));
+    lock.unlock();
+    const std::uint64_t deadline =
+        timeout_ns > 0 ? obs::now_ns() + timeout_ns : 0;
+    if (await_reply(fut, rid, deadline)) {
+      const Value v = fut.get();
+      record_op_done(stats_, tr,
+                     read ? LatencyMetric::kReadNs : LatencyMetric::kWriteNs,
+                     read ? obs::TraceEventKind::kReadDone
+                          : obs::TraceEventKind::kWriteDone,
+                     x, op_start.close(), tid);
+      return v;
+    }
+    stats_.bump(Counter::kFoRequestTimeout);
+    on_round_timeout(target, epoch_at_send);
   }
   stats_.bump(Counter::kFoUnreachable);
   if (tr != nullptr) {
     tr->record(obs::TraceEventKind::kUnreachable,
-               static_cast<std::uint8_t>(MsgType::kWrite), target, x, nullptr,
-               0, 0, tid);
+               static_cast<std::uint8_t>(type), target, x, nullptr, 0, 0, tid);
   }
-  notify_unreachable(MsgType::kWrite, target, x);
-  return OpStatus::kUnreachable;
+  if (obs::FlightRecorder* fr = stats_.flight_recorder()) {
+    fr->on_unreachable(id_, target, static_cast<std::uint8_t>(type), x);
+  }
+  return std::nullopt;
 }
 
 bool CausalNode::discard(Addr x) {
   std::unique_lock lock(mu_);
   if (owner_of(x) == id_) return false;
   if (auto it = cache_.find(page_of(x)); it != cache_.end()) {
-    stats_.bump(Counter::kDiscard);
-    if (obs::Tracer* t = stats_.tracer()) {
-      t->record(obs::TraceEventKind::kDiscard, 0, kNoNode, x, &vt_);
-    }
-    erase_page(it);
+    discard_page(it, x);
   }
   return true;
 }
@@ -467,13 +382,11 @@ void CausalNode::on_message(const Message& m) {
       serve_sync(m);
       return;
     case MsgType::kRecover:
-      serve_recover(m);
+    case MsgType::kCatchupRequest:
+      serve_election_poll(m);
       return;
     case MsgType::kRecoverReply:
       on_recover_reply(m);
-      return;
-    case MsgType::kCatchupRequest:
-      serve_catchup(m);
       return;
     case MsgType::kCatchupReply:
       // Same election bookkeeping as a RECOVER_REPLY: an accepted reply is
@@ -490,25 +403,11 @@ void CausalNode::serve_read(const Message& m) {
   Message rep;
   {
     std::unique_lock lock(mu_);
+    if (!admit_request(m, lock)) return;
     const std::uint64_t pg = page_of(m.addr);
-    if (failover_ != nullptr) {
-      // Stale routing (the sender resolved the owner before a failover): let
-      // the request die — the sender's deadline re-resolves and retries.
-      if (owner_of(m.addr) != id_) return;
-      if (!page_ready_locally(pg)) {
-        begin_or_join_recovery(pg, m, lock);
-        return;
-      }
-    } else {
-      CM_ASSERT_MSG(owner_of(m.addr) == id_, "READ routed to non-owner");
-    }
     // First fetch subscribes the reader to the page's copyset: it is about
     // to hold a cached copy that future invalidation batches must reach.
-    if (copysets_on() && m.from != id_) {
-      if (subscribers_[pg].insert(m.from).second) {
-        stats_.bump(Counter::kShardSubscribe);
-      }
-    }
+    subscribe(pg, m.from);
     const Addr base = page_base(pg);
     rep.stamp = VectorClock(n_);
     rep.cells.reserve(cfg_.page_size);
@@ -519,13 +418,7 @@ void CausalNode::serve_read(const Message& m) {
     }
     stats_.bump(Counter::kMsgReadReply);
   }
-  rep.type = MsgType::kReadReply;
-  rep.from = id_;
-  rep.to = m.from;
-  rep.request_id = m.request_id;
-  rep.addr = m.addr;
-  rep.trace_id = m.trace_id;  // the reply stays on the requester's flow
-  send_msg(std::move(rep));
+  send_reply(MsgType::kReadReply, m, std::move(rep));
 }
 
 void CausalNode::serve_write(const Message& m) {
@@ -533,25 +426,13 @@ void CausalNode::serve_write(const Message& m) {
   bool accepted = true;
   {
     std::unique_lock lock(mu_);
-    if (failover_ != nullptr) {
-      if (owner_of(m.addr) != id_) return;  // stale routing — sender retries
-      if (!page_ready_locally(page_of(m.addr))) {
-        begin_or_join_recovery(page_of(m.addr), m, lock);
-        return;
-      }
-    } else {
-      CM_ASSERT_MSG(owner_of(m.addr) == id_, "WRITE routed to non-owner");
-    }
+    if (!admit_request(m, lock)) return;
     // VT_i := update(VT_i, VT) — the owner learns the writer's causal past.
     vt_.update(m.stamp);
 
     // The writer installed its value locally at issue time (cache_own_write)
     // unless read-through caches nothing: it holds a copy, so it subscribes.
-    if (copysets_on() && !cfg_.read_through && m.from != id_) {
-      if (subscribers_[page_of(m.addr)].insert(m.from).second) {
-        stats_.bump(Counter::kShardSubscribe);
-      }
-    }
+    if (!cfg_.read_through) subscribe(page_of(m.addr), m.from);
 
     Cell& cur = owned_cell(m.addr);
     // Deadline-retry idempotency: a retried WRITE whose first copy already
@@ -626,15 +507,39 @@ void CausalNode::serve_write(const Message& m) {
     rep.value = accepted && !already ? m.value : cur.value;
     stats_.bump(Counter::kMsgWriteReply);
   }
-  rep.type = MsgType::kWriteReply;
-  rep.from = id_;
-  rep.to = m.from;
-  rep.request_id = m.request_id;
-  rep.addr = m.addr;
   rep.tag = m.tag;
   rep.accepted = accepted;
-  rep.trace_id = m.trace_id;  // the reply stays on the writer's flow
+  send_reply(MsgType::kWriteReply, m, std::move(rep));
+}
+
+void CausalNode::send_reply(MsgType type, const Message& req, Message&& rep) {
+  rep.type = type;
+  rep.from = id_;
+  rep.to = req.from;
+  rep.request_id = req.request_id;
+  rep.addr = req.addr;
+  rep.trace_id = req.trace_id;  // the reply stays on the requester's flow
   send_msg(std::move(rep));
+}
+
+bool CausalNode::admit_request(const Message& m,
+                               std::unique_lock<std::mutex>& lock) {
+  if (owner_of(m.addr) != id_) {
+    // Stale routing (the sender resolved the owner before a failover): let
+    // the request die — the sender's deadline re-resolves and retries.
+    CM_ASSERT_MSG(failover_ != nullptr, "request routed to non-owner");
+    return false;
+  }
+  if (page_ready_locally(page_of(m.addr))) return true;
+  begin_or_join_recovery(page_of(m.addr), m, lock);
+  return false;
+}
+
+void CausalNode::subscribe(std::uint64_t pg, NodeId holder) {
+  if (!copysets_on() || holder == id_) return;
+  if (subscribers_[pg].insert(holder).second) {
+    stats_.bump(Counter::kShardSubscribe);
+  }
 }
 
 void CausalNode::complete_pending(const Message& m) {
@@ -647,17 +552,6 @@ void CausalNode::complete_pending(const Message& m) {
     // owner. Without deadlines this cannot happen — keep the old invariant.
     CM_ASSERT_MSG(cfg_.request_timeout.count() > 0,
                   "reply for unknown request");
-    return;
-  }
-
-  if (m.type == MsgType::kSyncReply) {
-    // rejoin()'s clock resync: merge the peer's vector time and wake the
-    // rejoin loop. No cache or own-write bookkeeping is involved.
-    vt_.update(m.stamp);
-    std::promise<Value> prom = std::move(it->second.reply);
-    pending_.erase(it);
-    lock.unlock();
-    prom.set_value(m.value);
     return;
   }
 
@@ -701,13 +595,10 @@ void CausalNode::complete_pending(const Message& m) {
       }
     }
     if (predates_own_write) {
-      Message req;
-      req.type = MsgType::kRead;
-      req.from = id_;
-      req.to = owner_of(m.addr);
-      req.request_id = m.request_id;  // keep the same pending slot
-      req.addr = m.addr;
-      req.trace_id = it->second.trace_id;  // still the same operation's flow
+      // Same pending slot, same operation flow.
+      Message req = request(MsgType::kRead, owner_of(m.addr), m.addr,
+                            it->second.trace_id);
+      req.request_id = m.request_id;
       stats_.bump(Counter::kMsgReadRequest);
       lock.unlock();
       send_msg(std::move(req));
@@ -725,15 +616,7 @@ void CausalNode::complete_pending(const Message& m) {
     // clock and release any flush() waiter.
     vt_.update(m.stamp);
     CM_ASSERT_MSG(m.accepted, "async write rejected (policy forbids this)");
-    // A reply carrying a cell means OUR value was not installed (shadowed
-    // duplicate): log the standing cell the owner reported, never a value
-    // that exists nowhere — the recovery log feeds elections.
-    if (m.cells.empty()) {
-      log_observe(m.addr, Cell{m.value, m.stamp, m.tag});
-    } else {
-      log_observe(m.addr, Cell{m.cells.front().value, m.stamp,
-                               m.cells.front().tag});
-    }
+    log_write_reply(m);
     pending_.erase(it);
     CM_ASSERT(outstanding_async_ > 0);
     if (--outstanding_async_ == 0) flush_cv_.notify_all();
@@ -804,47 +687,34 @@ void CausalNode::complete_pending(const Message& m) {
                          OpTiming{op_start_ns, OpTiming::now_ns()});
     }
   } else {
-    CM_ASSERT(m.type == MsgType::kWriteReply);
+    // A W_REPLY, or rejoin()'s clock resync (SYNC_REPLY), which only merges
+    // the peer's vector time.
     vt_.update(m.stamp);
-    const std::uint64_t pg = page_of(m.addr);
-    auto pit = cache_.find(pg);
-    Cell* cur = pit != cache_.end()
-                    ? &pit->second.cells[m.addr - page_base(pg)]
-                    : nullptr;
-    if (m.accepted) {
-      // Fig. 4 writer side: M_i[x] := (v, VT_i). Under per-operation
-      // atomicity VT_i equals update(increment_result, VT'), and VT'
-      // already dominates the issue stamp (the owner merged it before
-      // replying) — so the certified write's true stamp is exactly m.stamp.
-      // The value itself was installed at issue time; here we only refresh
-      // the stamp, and only if the cell still holds *this* write — a newer
-      // local write or a newer fetch must not be regressed, and a cell
-      // invalidated in flight stays invalid (the owner serves fresh copies).
-      if (cur != nullptr && cur->tag == m.tag) {
-        cur->stamp = m.stamp;
-        if (cfg_.page_size == 1) pit->second.stamp = m.stamp;
-      }
-      // A reply carrying a cell reports the standing value (our write was
-      // recognized but not installed): the recovery log must record what
-      // exists, not what was shadowed.
-      if (m.cells.empty()) {
-        log_observe(m.addr, Cell{m.value, m.stamp, m.tag});
-      } else {
-        log_observe(m.addr, Cell{m.cells.front().value, m.stamp,
-                                 m.cells.front().tag});
-      }
-    } else {
-      // Owner-wins resolution rejected the write: drop the local copy (if
-      // it is still this write) so a later read fetches the favored value.
-      if (cur != nullptr && cur->tag == m.tag) {
+    if (m.type == MsgType::kWriteReply) {
+      const std::uint64_t pg = page_of(m.addr);
+      auto pit = cache_.find(pg);
+      Cell* cur = pit != cache_.end()
+                      ? &pit->second.cells[m.addr - page_base(pg)]
+                      : nullptr;
+      if (m.accepted) {
+        // Fig. 4 writer side: M_i[x] := (v, VT_i). Under per-operation
+        // atomicity VT_i equals update(increment_result, VT'), and VT'
+        // already dominates the issue stamp (the owner merged it before
+        // replying) — so the certified write's true stamp is exactly m.stamp.
+        // The value itself was installed at issue time; here we only refresh
+        // the stamp, and only if the cell still holds *this* write — a newer
+        // local write or a newer fetch must not be regressed, and a cell
+        // invalidated in flight stays invalid (the owner serves fresh copies).
+        if (cur != nullptr && cur->tag == m.tag) {
+          cur->stamp = m.stamp;
+          if (cfg_.page_size == 1) pit->second.stamp = m.stamp;
+        }
+      } else if (cur != nullptr && cur->tag == m.tag) {
+        // Owner-wins resolution rejected the write: drop the local copy (if
+        // it is still this write) so a later read fetches the favored value.
         erase_page(pit);
       }
-      // The favored value the owner reported is certified state we have
-      // now observed — election material like any other reply.
-      if (!m.cells.empty()) {
-        log_observe(m.addr, Cell{m.cells.front().value, m.stamp,
-                                 m.cells.front().tag});
-      }
+      log_write_reply(m);
     }
   }
 
@@ -964,10 +834,8 @@ bool CausalNode::await_reply(std::future<Value>& fut, std::uint64_t rid,
   return false;
 }
 
-void CausalNode::on_round_timeout(NodeId target, Addr x,
+void CausalNode::on_round_timeout(NodeId target,
                                   std::uint64_t epoch_at_send) {
-  (void)x;
-  stats_.bump(Counter::kFoRequestTimeout);
   // suspect() does its own counting/tracing and is idempotent; self-sends
   // cannot time out from unreachability, only from recovery queueing.
   if (failover_ == nullptr || target == id_) return;
@@ -989,6 +857,19 @@ void CausalNode::log_observe(Addr x, const Cell& c) {
   if (!fresh && fresher_stamp(c.stamp, it->second.stamp)) it->second = c;
 }
 
+void CausalNode::log_write_reply(const Message& m) {
+  if (failover_ == nullptr) return;
+  // A reply carrying a cell reports the standing value (our write was
+  // shadowed, re-acked or rejected): the recovery log must record what
+  // exists, never a value that exists nowhere — it feeds elections.
+  if (!m.cells.empty()) {
+    log_observe(m.addr,
+                Cell{m.cells.front().value, m.stamp, m.cells.front().tag});
+  } else if (m.accepted) {
+    log_observe(m.addr, Cell{m.value, m.stamp, m.tag});
+  }
+}
+
 void CausalNode::serve_sync(const Message& m) {
   Message rep;
   {
@@ -996,20 +877,23 @@ void CausalNode::serve_sync(const Message& m) {
     rep.stamp = vt_;
     stats_.bump(Counter::kFoSyncReply);
   }
-  rep.type = MsgType::kSyncReply;
-  rep.from = id_;
-  rep.to = m.from;
-  rep.request_id = m.request_id;
-  send_msg(std::move(rep));
+  send_reply(MsgType::kSyncReply, m, std::move(rep));
 }
 
-void CausalNode::serve_recover(const Message& m) {
+void CausalNode::serve_election_poll(const Message& m) {
+  const bool catchup = m.type == MsgType::kCatchupRequest;
   Message rep;
   {
     std::unique_lock lock(mu_);
     // Answer from the monotone observation log only: cache_ entries can be
-    // invalidated (and so roll backwards); the log can't.
-    if (auto it = recovery_log_.find(m.addr); it != recovery_log_.end()) {
+    // invalidated (and so roll backwards); the log can't. A catch-up poll
+    // filters by the requester's durable bound: a copy the bound already
+    // covers would lose its election anyway, so the reply stays
+    // payload-free. The same deterministic fresher_stamp order decides
+    // both, so "peer sends" and "requester would elect" agree exactly.
+    if (auto it = recovery_log_.find(m.addr);
+        it != recovery_log_.end() &&
+        (!catchup || fresher_stamp(it->second.stamp, m.stamp))) {
       rep.accepted = true;
       rep.value = it->second.value;
       rep.stamp = it->second.stamp;
@@ -1018,42 +902,11 @@ void CausalNode::serve_recover(const Message& m) {
       rep.accepted = false;
       rep.stamp = VectorClock(n_);
     }
-    stats_.bump(Counter::kFoRecoverReply);
+    stats_.bump(catchup ? Counter::kPersistCatchupReply
+                        : Counter::kFoRecoverReply);
   }
-  rep.type = MsgType::kRecoverReply;
-  rep.from = id_;
-  rep.to = m.from;
-  rep.request_id = m.request_id;
-  rep.addr = m.addr;
-  send_msg(std::move(rep));
-}
-
-void CausalNode::serve_catchup(const Message& m) {
-  Message rep;
-  {
-    std::unique_lock lock(mu_);
-    rep.accepted = false;
-    rep.stamp = VectorClock(n_);
-    // serve_recover's source (the monotone observation log), filtered by
-    // the requester's durable bound: a copy the bound already covers would
-    // lose its election anyway, so the reply stays payload-free. The same
-    // deterministic fresher_stamp order decides both, so "peer sends" and
-    // "requester would elect" agree exactly.
-    if (auto it = recovery_log_.find(m.addr);
-        it != recovery_log_.end() && fresher_stamp(it->second.stamp, m.stamp)) {
-      rep.accepted = true;
-      rep.value = it->second.value;
-      rep.stamp = it->second.stamp;
-      rep.tag = it->second.tag;
-    }
-    stats_.bump(Counter::kPersistCatchupReply);
-  }
-  rep.type = MsgType::kCatchupReply;
-  rep.from = id_;
-  rep.to = m.from;
-  rep.request_id = m.request_id;
-  rep.addr = m.addr;
-  send_msg(std::move(rep));
+  send_reply(catchup ? MsgType::kCatchupReply : MsgType::kRecoverReply, m,
+             std::move(rep));
 }
 
 void CausalNode::on_recover_reply(const Message& m) {
@@ -1105,31 +958,8 @@ void CausalNode::begin_or_join_recovery(std::uint64_t pg, const Message& m,
     // kept even when a seed exists — identical outcome, and the recovery
     // counter accounting of existing deployments stays untouched.)
     const bool bounded = persist_ != nullptr && rec.has_candidate;
-    // Copyset-scoped catch-up (opt-in, docs/SHARDING.md): with a durable
-    // seed and the disk intact, poll only live durable peers plus this
-    // node's known subscribers of the page instead of everyone — a copy
-    // strictly fresher than the durable bound was certified by a durable
-    // owner or handed to a subscriber under the documented no-media-loss
-    // assumption. An empty scope (or a lost disk) falls back to the full
-    // poll, so the fallback is always at least as thorough as before.
-    bool scoped = false;
-    if (bounded && cfg_.scoped_catchup && !lost_disk_epoch_) {
-      for (const NodeId p : failover_->live_peers(id_)) {
-        if (failover_->is_durable(p)) rec.expected.insert(p);
-      }
-      if (auto sub = subscribers_.find(pg); sub != subscribers_.end()) {
-        for (const NodeId s : sub->second) {
-          if (s != id_ && !failover_->is_down(s)) rec.expected.insert(s);
-        }
-      }
-      scoped = !rec.expected.empty();
-    }
-    if (scoped) {
-      stats_.bump(Counter::kShardElectionScoped);
-    } else {
-      for (NodeId p : failover_->live_peers(id_)) rec.expected.insert(p);
-      if (copysets_on()) stats_.bump(Counter::kShardElectionFull);
-    }
+    for (NodeId p : failover_->live_peers(id_)) rec.expected.insert(p);
+    if (copysets_on()) stats_.bump(Counter::kShardElectionFull);
     if (bounded) {
       if (obs::Tracer* t = stats_.tracer()) {
         t->record(obs::TraceEventKind::kCatchup, 0, kNoNode, page_base(pg),
@@ -1137,12 +967,10 @@ void CausalNode::begin_or_join_recovery(std::uint64_t pg, const Message& m,
       }
     }
     for (const NodeId p : rec.expected) {
-      Message req;
-      req.type = bounded ? MsgType::kCatchupRequest : MsgType::kRecover;
-      req.from = id_;
-      req.to = p;
-      req.request_id = 0;  // routed by type, not by pending slot
-      req.addr = page_base(pg);
+      // Routed by type, not by pending slot: request_id stays 0.
+      Message req = request(
+          bounded ? MsgType::kCatchupRequest : MsgType::kRecover, p,
+          page_base(pg));
       if (bounded) {
         req.stamp = rec.best.stamp;
         stats_.bump(Counter::kPersistCatchupRequest);
@@ -1156,13 +984,8 @@ void CausalNode::begin_or_join_recovery(std::uint64_t pg, const Message& m,
     // will never come. The pruning is driven by retried requests landing
     // here, so a stalled election makes progress exactly when someone still
     // wants the page.
-    for (auto pit = rec.expected.begin(); pit != rec.expected.end();) {
-      if (failover_->is_down(*pit)) {
-        pit = rec.expected.erase(pit);
-      } else {
-        ++pit;
-      }
-    }
+    std::erase_if(rec.expected,
+                  [this](NodeId p) { return failover_->is_down(p); });
   }
   if (rec.expected.empty()) {
     finish_recovery(pg, lock);
@@ -1310,10 +1133,7 @@ bool CausalNode::rejoin() {
       const std::uint64_t rid = next_rid_++;
       std::future<Value> fut =
           register_pending(rid, /*async=*/false, /*start_ns=*/0);
-      Message req;
-      req.type = MsgType::kSyncRequest;
-      req.from = id_;
-      req.to = p;
+      Message req = request(MsgType::kSyncRequest, p);
       req.request_id = rid;
       stats_.bump(Counter::kFoSyncRequest);
       send_msg(std::move(req));
@@ -1327,12 +1147,7 @@ bool CausalNode::rejoin() {
   bool all = true;
   for (Wait& w : waits) {
     if (!await_reply(w.fut, w.rid, obs::now_ns() + timeout_ns)) {
-      // Same endpoint-liveness guard as on_round_timeout: if we crashed
-      // again mid-rejoin, the sync silence says nothing about the peer.
-      if (transport_.endpoint_up(id_) &&
-          transport_.endpoint_epoch(id_) == epoch_at_send) {
-        failover_->suspect(w.peer, id_);
-      }
+      on_round_timeout(w.peer, epoch_at_send);
       all = false;
     }
   }
@@ -1355,6 +1170,29 @@ CausalNode::Cell& CausalNode::owned_cell(Addr x) {
              .first;
   }
   return it->second;
+}
+
+const CausalNode::Cell* CausalNode::local_cell(Addr x) {
+  const std::uint64_t pg = page_of(x);
+  if (owner_of(x) == id_ && page_ready_locally(pg)) return &owned_cell(x);
+  if (cfg_.read_through) return nullptr;
+  auto it = cache_.find(pg);
+  if (it == cache_.end()) return nullptr;
+  touch_lru(it->second);
+  return &it->second.cells[x - page_base(pg)];
+}
+
+Message CausalNode::request(MsgType type, NodeId to, Addr x,
+                            std::uint64_t trace_id) const {
+  // A READ's stamp stays empty: the owner ignores it, and empty clocks are
+  // transparent to the channel's delta baseline.
+  Message req;
+  req.type = type;
+  req.from = id_;
+  req.to = to;
+  req.addr = x;
+  req.trace_id = trace_id;
+  return req;
 }
 
 void CausalNode::install_page(std::uint64_t page, CachedPage&& cp) {
@@ -1419,20 +1257,17 @@ void CausalNode::invalidate_cache(const VectorClock& threshold,
         tr->record(obs::TraceEventKind::kInvalidate, 0, kNoNode,
                    page_base(it->first), &threshold, 0, 0, trace_id);
       }
-      note_page_dropped(it->first);
-      lru_.erase(it->second.lru_it);
-      it = cache_.erase(it);
+      it = erase_page(it);
     } else {
       ++it;
     }
   }
 }
 
-void CausalNode::erase_page(FlatHashMap<std::uint64_t, CachedPage>::iterator it,
-                            bool record_unsub) {
+CausalNode::PageIt CausalNode::erase_page(PageIt it, bool record_unsub) {
   if (record_unsub) note_page_dropped(it->first);
   lru_.erase(it->second.lru_it);
-  cache_.erase(it);
+  return cache_.erase(it);
 }
 
 void CausalNode::touch_lru(CachedPage& cp) {
@@ -1442,15 +1277,18 @@ void CausalNode::touch_lru(CachedPage& cp) {
 void CausalNode::evict_over_capacity() {
   while (cache_.size() > cfg_.cache_capacity_pages) {
     const std::uint64_t victim = lru_.back();
-    stats_.bump(Counter::kDiscard);
-    if (obs::Tracer* t = stats_.tracer()) {
-      t->record(obs::TraceEventKind::kDiscard, 0, kNoNode, page_base(victim),
-                &vt_);
-    }
     auto it = cache_.find(victim);
     CM_ASSERT(it != cache_.end());
-    erase_page(it);
+    discard_page(it, page_base(victim));
   }
+}
+
+void CausalNode::discard_page(PageIt it, Addr x) {
+  stats_.bump(Counter::kDiscard);
+  if (obs::Tracer* t = stats_.tracer()) {
+    t->record(obs::TraceEventKind::kDiscard, 0, kNoNode, x, &vt_);
+  }
+  erase_page(it);
 }
 
 std::future<Value> CausalNode::register_pending(std::uint64_t rid,
@@ -1464,12 +1302,6 @@ std::future<Value> CausalNode::register_pending(std::uint64_t rid,
   it->second.trace_id = trace_id;
   it->second.serve_snapshot = served_merges_;
   return it->second.reply.get_future();
-}
-
-void CausalNode::notify_unreachable(MsgType op, NodeId target, Addr x) {
-  if (obs::FlightRecorder* fr = stats_.flight_recorder()) {
-    fr->on_unreachable(id_, target, static_cast<std::uint8_t>(op), x);
-  }
 }
 
 // --------------------------------------------------------------------------

@@ -15,11 +15,13 @@ namespace {
 // runs the receiver's handler (which takes the receiver's locks, and may
 // itself send) before send() returns. Reply types qualify: all four DSM
 // node implementations build replies under their mutex but send after
-// releasing it, and ReliableChannel's acks are sent outside its channel
-// locks. Request types do NOT qualify (AtomicNode sends kInvalidate under
-// its mutex; requesters send while their own reply future is registered),
-// and one-way updates (kBroadcastUpdate, kHeartbeat) stay on the queued
-// path so their fan-out keeps its cost off the sending thread.
+// releasing it (AtomicNode queues every owner-side send in an outbox that
+// one drainer flushes with the mutex released), and ReliableChannel's acks
+// are sent outside its channel locks. Request types do NOT qualify
+// (CausalNode sends its requests under its operation mutex; requesters
+// send while their own reply future is registered), and one-way updates
+// (kBroadcastUpdate, kHeartbeat) stay on the queued path so their fan-out
+// keeps its cost off the sending thread.
 constexpr bool inline_eligible(MsgType t) noexcept {
   switch (t) {
     case MsgType::kReadReply:

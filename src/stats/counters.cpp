@@ -60,7 +60,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kShardInvalPiggybacked: return "shard.inval_piggybacked";
     case Counter::kShardInvalApplied: return "shard.inval_applied";
     case Counter::kShardInvalAcked: return "shard.inval_acked";
-    case Counter::kShardElectionScoped: return "copyset.election_scoped";
     case Counter::kShardElectionFull: return "copyset.election_full";
     case Counter::kReplySpinHit: return "wait.spin_hit";
     case Counter::kReplyParked: return "wait.parked";

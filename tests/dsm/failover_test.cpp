@@ -120,15 +120,14 @@ TEST(RequestDeadline, EveryRequestReturnsUnreachableWithinDeadline) {
   // Drive virtual time forward until both operations give up. Each op runs
   // 3 rounds of 50ms; 10ms virtual steps paced by real sleeps let the
   // 200us deadline poll observe every expiry.
-  std::jthread advancer([&clock](const std::stop_token& st) {
+  std::atomic<std::uint64_t> step_ns{10'000'000};
+  std::jthread advancer([&clock, &step_ns](const std::stop_token& st) {
     while (!st.stop_requested()) {
-      clock.advance_ns(10'000'000);
+      clock.advance_ns(step_ns.load());
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
   worker.join();
-  advancer.request_stop();
-  advancer.join();
 
   EXPECT_EQ(read_result.status, OpStatus::kUnreachable);
   EXPECT_FALSE(read_result.ok());
@@ -140,6 +139,23 @@ TEST(RequestDeadline, EveryRequestReturnsUnreachableWithinDeadline) {
   EXPECT_EQ(stats.get(Counter::kFoUnreachable), 2u);
   // No failover directory attached: nothing migrated, nothing recovered.
   EXPECT_EQ(sys.failover_directory(), nullptr);
+
+  // The exhausted write was unwound: its issue-time install is gone...
+  EXPECT_FALSE(sys.node(1).is_cached(0));
+  // ...and so is its own-write requirement: with the owner back, one READ
+  // answers with the initial value. (A requirement left behind would make
+  // every reply look stale and resend forever; the advancer keeps running
+  // and turns that into expired rounds instead of a hang. Its 1ms steps
+  // give a live round about 50ms of real time.)
+  step_ns = 1'000'000;
+  sys.faulty_transport()->restart_node(0);
+  const std::uint64_t reads_before = stats.get(Counter::kMsgReadRequest);
+  const ReadResult after_restart = sys.node(1).try_read(0);
+  advancer.request_stop();
+  advancer.join();
+  EXPECT_EQ(after_restart.status, OpStatus::kOk);
+  EXPECT_EQ(after_restart.value, kInitialValue);
+  EXPECT_EQ(stats.get(Counter::kMsgReadRequest), reads_before + 1);
 }
 
 TEST(RequestDeadline, WaiterParksUnderFrozenClock) {
