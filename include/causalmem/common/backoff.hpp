@@ -38,6 +38,14 @@ template <typename Ready>
   return false;
 }
 
+/// `budget_ns` on a multi-core host; zero with one hardware thread, where a
+/// spin only delays the thread that would end it.
+[[nodiscard]] inline std::uint64_t multicore_spin_ns(
+    std::uint64_t budget_ns) noexcept {
+  static const bool multicore = std::thread::hardware_concurrency() > 1;
+  return multicore ? budget_ns : 0;
+}
+
 class Backoff {
  public:
   /// max_sleep caps the escalation; keep it small — spin loops poll remote

@@ -27,6 +27,7 @@
 
 #include "causalmem/dsm/memory.hpp"
 #include "causalmem/dsm/observer.hpp"
+#include "causalmem/dsm/outbox.hpp"
 #include "causalmem/dsm/ownership.hpp"
 #include "causalmem/net/transport.hpp"
 #include "causalmem/stats/counters.hpp"
@@ -101,9 +102,9 @@ class AtomicNode final : public SharedMemory {
   /// Adds the reader to x's copyset and queues its R_REPLY. Caller holds mu_.
   void post_read_reply(const Message& req);
 
-  /// Sends the outbox in order, releasing `lock` (mu_) around each send;
-  /// returns at once when another thread is already draining. Every path
-  /// that queues owner-side messages calls this before it lets go of mu_.
+  /// Sends the outbox through the transport (OrderedOutbox::flush). Every
+  /// path that queues owner-side messages calls this before it lets go of
+  /// mu_.
   void flush_outbox(std::unique_lock<std::mutex>& lock);
 
   OwnedCell& owned_cell(Addr x);
@@ -131,9 +132,8 @@ class AtomicNode final : public SharedMemory {
   std::unordered_map<Addr, std::deque<Message>> deferred_;
   std::unordered_map<std::uint64_t, std::promise<Message>> pending_;
   /// Owner-side sends (replies, INVs, INV acks) in the order they were
-  /// decided under mu_, and whether a thread is sending them (flush_outbox).
-  std::deque<Message> outbox_;
-  bool draining_{false};
+  /// decided under mu_ (flush_outbox sends them).
+  OrderedOutbox outbox_;
   std::uint64_t next_rid_{1};
   std::uint64_t trace_seq_{0};  ///< per-node trace-id counter (new_trace_id)
 };

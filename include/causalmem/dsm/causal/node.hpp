@@ -36,6 +36,7 @@
 #include "causalmem/dsm/failover.hpp"
 #include "causalmem/dsm/memory.hpp"
 #include "causalmem/dsm/observer.hpp"
+#include "causalmem/dsm/outbox.hpp"
 #include "causalmem/dsm/ownership.hpp"
 #include "causalmem/net/transport.hpp"
 #include "causalmem/stats/counters.hpp"
@@ -155,6 +156,10 @@ class CausalNode final : public SharedMemory {
     std::vector<Cell> cells;
     VectorClock stamp;
     std::list<std::uint64_t>::iterator lru_it;
+    /// The page is in read_only_pages_ (set by install_page, and by
+    /// mark_read_only for a page already cached): exempt from invalidation.
+    /// Kept here so a sweep needs no set lookup per cached page.
+    bool read_only{false};
   };
 
   struct Pending {
@@ -318,6 +323,11 @@ class CausalNode final : public SharedMemory {
   /// mu_; this takes only piggy_mu_).
   void send_msg(Message&& m);
 
+  /// Queues a READ/WRITE request behind every earlier one and sends the
+  /// queue through send_msg, with `lock` (mu_, held on entry and on return)
+  /// released around each send; see OrderedOutbox::flush.
+  void send_request(std::unique_lock<std::mutex>& lock, Message&& req);
+
   /// Applies an incoming frame's v4 trailer before handler dispatch:
   /// unsubscribes the sender from named pages, drops cached pages named in
   /// the invalidation list, accumulates ack bookkeeping. Takes mu_ and
@@ -384,6 +394,9 @@ class CausalNode final : public SharedMemory {
   FlatHashMap<std::uint64_t, CachedPage> cache_;
   std::list<std::uint64_t> lru_;  // front = most recently used page
   std::unordered_set<std::uint64_t> read_only_pages_;
+  /// READ/WRITE requests in operation-issue order (DESIGN.md §6 rule 5a),
+  /// sent by send_request with mu_ released.
+  OrderedOutbox requests_;
 
   /// Per page: this node's own writes the page's owner must have processed
   /// before a read reply for the page may take effect. `outstanding` holds

@@ -73,9 +73,9 @@ class SharedMemory {
 /// The paper's `wait(B)`: "while (not B) skip". On causal memory a cached
 /// flag is never updated in place, so each failed poll discards the cached
 /// copy to force a re-fetch from the owner — exactly the liveness use of
-/// `discard` described in Section 3.1. Spin re-fetches are accounted
-/// separately (kSpinRefetch) so benchmarks can separate busy-wait overhead
-/// from protocol cost.
+/// `discard` described in Section 3.1. Every failed poll that itself went to
+/// the owner is counted as kSpinRefetch, so benchmarks can separate
+/// busy-wait overhead from protocol cost (StatsSnapshot::effective_messages).
 ///
 /// Returns the first value satisfying `pred`.
 Value spin_until(SharedMemory& mem, Addr x,

@@ -3,17 +3,18 @@
 // (src,dst) channel's delivery deadlines monotonic, so jittered latency can
 // never reorder a channel.
 //
-// Fast path: reply-type messages on an idle zero-latency channel are
+// Fast path: request and reply messages on an idle zero-latency channel are
 // delivered inline on the sender's thread instead of waking the receiver's
-// worker, eliding two context switches per request/reply round trip. The
-// requester is normally still spinning on its reply when it lands, so the
-// reply's set_value issues no futex wake either. The per-channel in-flight
-// count (incremented before a message is queued, decremented only after its
-// handler returns) makes the idle check exact: an inline delivery can never
-// overtake a queued or in-delivery message on the same channel, so
-// per-channel FIFO is preserved. Only message types that every protocol
-// sends with no node lock held are eligible — see inline_eligible() in the
-// .cpp for the proof obligation.
+// worker. A remote read or write then runs end to end on the requester's
+// thread — the owner's service, and the reply's handler, execute before the
+// request's send() returns — so the round trip costs no context switch and
+// the requester usually finds its reply fulfilled without waiting. The
+// per-channel in-flight count (incremented before a message is queued,
+// decremented only after its handler returns) makes the idle check exact:
+// an inline delivery can never overtake a queued or in-delivery message on
+// the same channel, so per-channel FIFO is preserved. Only message types
+// that every protocol sends with no node lock held are eligible — see
+// inline_eligible() in the .cpp for the proof obligation.
 #pragma once
 
 #include <atomic>

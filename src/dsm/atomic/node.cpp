@@ -3,6 +3,7 @@
 #include "causalmem/common/expect.hpp"
 #include "causalmem/obs/trace.hpp"
 #include "../op_done.hpp"
+#include "../remote_reads.hpp"
 
 namespace causalmem {
 
@@ -53,6 +54,7 @@ Value AtomicNode::read(Addr x) {
       return hit->value;
     }
     stats_.bump(Counter::kReadMiss);
+    note_remote_read();
     if (tr != nullptr) {
       tr->record(obs::TraceEventKind::kReadMiss, 0, ownership_.owner(x), x);
     }
@@ -217,7 +219,7 @@ void AtomicNode::post_read_reply(const Message& req) {
   rep.tag = c.tag;
   rep.trace_id = req.trace_id;  // the reply stays on the requester's flow
   stats_.bump(Counter::kMsgReadReply);
-  outbox_.push_back(std::move(rep));
+  outbox_.push(std::move(rep));
 }
 
 void AtomicNode::apply_write(Addr x, Value v, WriteTag tag, NodeId origin,
@@ -243,7 +245,7 @@ void AtomicNode::apply_write(Addr x, Value v, WriteTag tag, NodeId origin,
   rep.tag = tag;
   rep.trace_id = trace_id;
   stats_.bump(Counter::kMsgWriteReply);
-  outbox_.push_back(std::move(rep));
+  outbox_.push(std::move(rep));
 }
 
 bool AtomicNode::begin_write(Addr x, Value v, WriteTag tag, NodeId origin,
@@ -267,7 +269,7 @@ bool AtomicNode::begin_write(Addr x, Value v, WriteTag tag, NodeId origin,
     inv.addr = x;
     inv.trace_id = trace_id;  // the fan-out belongs to the write's flow
     stats_.bump(Counter::kMsgInvalidate);
-    outbox_.push_back(std::move(inv));
+    outbox_.push(std::move(inv));
   }
   return false;
 }
@@ -287,7 +289,7 @@ void AtomicNode::handle_inv(const Message& m) {
   ack.to = m.from;
   ack.addr = m.addr;
   ack.trace_id = m.trace_id;  // the ack closes one edge of the write's flow
-  outbox_.push_back(std::move(ack));
+  outbox_.push(std::move(ack));
   flush_outbox(lock);
 }
 
@@ -327,20 +329,10 @@ void AtomicNode::finish_write(Addr x) {
 }
 
 void AtomicNode::flush_outbox(std::unique_lock<std::mutex>& lock) {
-  // One drainer at a time sends the queue front to back, so every channel
-  // carries the owner's messages in decision order: an INV can never
-  // overtake the reply that put its target in the copyset. Sends happen
-  // with mu_ released — an inline reply runs the receiver's handler.
-  if (draining_) return;  // the active drainer sends what we queued
-  draining_ = true;
-  while (!outbox_.empty()) {
-    Message m = std::move(outbox_.front());
-    outbox_.pop_front();
-    lock.unlock();
-    transport_.send(std::move(m));
-    lock.lock();
-  }
-  draining_ = false;
+  // Decision order on every channel: an INV can never overtake the reply
+  // that put its target in the copyset. Sends happen with mu_ released — an
+  // inline reply runs the receiver's handler.
+  outbox_.flush(lock, [this](Message&& m) { transport_.send(std::move(m)); });
 }
 
 void AtomicNode::complete_pending(const Message& m) {

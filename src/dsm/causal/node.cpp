@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "causalmem/common/backoff.hpp"
 #include "causalmem/common/coop.hpp"
@@ -13,24 +12,18 @@
 #include "causalmem/obs/trace.hpp"
 #include "causalmem/persist/store.hpp"
 #include "../op_done.hpp"
+#include "../remote_reads.hpp"
 
 namespace causalmem {
 
 namespace {
 
-/// How long a blocked requester spins on its reply before parking: about
-/// twice the fault-free owner round trip measured on the in-memory
-/// transport (~13 us p50 on a 4-vCPU host), so a typical reply lands while
-/// the requester is still running and its set_value wakes no one.
+/// How long a blocked requester spins on its reply before parking. An
+/// inline round trip is usually complete before the wait starts; the budget
+/// covers the queued path (a busy channel, or a reply that waits for the
+/// owner's delivery thread), about twice its round trip on a 4-vCPU host,
+/// so such a reply still lands while the requester runs and wakes no one.
 constexpr std::uint64_t kReplySpinNs = 30'000;
-
-/// kReplySpinNs, or zero on a single CPU, where spinning only delays the
-/// thread that would answer.
-std::uint64_t reply_spin_budget_ns() noexcept {
-  static const std::uint64_t budget =
-      std::thread::hardware_concurrency() > 1 ? kReplySpinNs : 0;
-  return budget;
-}
 
 }  // namespace
 
@@ -90,6 +83,7 @@ ReadResult CausalNode::try_read(Addr x) {
     return ReadResult{OpStatus::kOk, c->value};
   }
   stats_.bump(Counter::kReadMiss);
+  note_remote_read();
   // Correlation id for the whole miss (all retry rounds share it).
   Message req = request(MsgType::kRead, owner_of(x), x, new_trace_id());
   if (tr != nullptr) {
@@ -123,9 +117,10 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   obs::Tracer* const tr = stats_.tracer();
   const std::uint64_t pg = page_of(x);
   // The entire issue sequence — clock increment, observation, local
-  // install, and the send — happens under ONE hold of the operation mutex,
-  // so every channel's message order equals this node's operation-issue
-  // order even with several application threads (DESIGN.md §6 rule 5a).
+  // install, and queueing the request — happens under ONE hold of the
+  // operation mutex, so every channel's message order equals this node's
+  // operation-issue order even with several application threads (DESIGN.md
+  // §6 rule 5a): the request outbox sends in push order.
   std::unique_lock lock(mu_);
   CM_EXPECTS_MSG(!read_only_pages_.contains(pg),
                  "write to a location marked read-only");
@@ -224,7 +219,7 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   async_chain_owner_ = req.to;
   stats_.bump(Counter::kMsgWriteRequest);
   const std::uint64_t tid = req.trace_id;
-  send_msg(std::move(req));
+  send_request(lock, std::move(req));
   lock.unlock();
   record_op_done(stats_, tr, LatencyMetric::kWriteNs,
                  obs::TraceEventKind::kWriteDone, x, op_start.close(), tid);
@@ -241,9 +236,11 @@ std::optional<Value> CausalNode::owner_round_trip(
   obs::Tracer* const tr = stats_.tracer();
   // Bounded by the per-round deadline when one is configured. Each round
   // re-resolves the owner, so a failover between rounds redirects the retry
-  // to the successor. The send happens under the operation mutex so the
-  // channel order to each owner equals the node's operation-issue order
-  // (several application threads may share this node).
+  // to the successor. The request is queued under the operation mutex, so
+  // the channel order to each owner equals the node's operation-issue order
+  // (several application threads may share this node); it is sent with the
+  // mutex released, because the transport may run the owner's handler — and
+  // its reply's complete_pending here — on this thread.
   const auto timeout_ns =
       static_cast<std::uint64_t>(cfg_.request_timeout.count());
   const std::uint32_t rounds = timeout_ns > 0 ? cfg_.request_retries + 1 : 1;
@@ -260,7 +257,7 @@ std::optional<Value> CausalNode::owner_round_trip(
     req.to = target;
     req.request_id = rid;
     stats_.bump(read ? Counter::kMsgReadRequest : Counter::kMsgWriteRequest);
-    send_msg(round + 1 < rounds ? Message(req) : std::move(req));
+    send_request(lock, round + 1 < rounds ? Message(req) : std::move(req));
     lock.unlock();
     const std::uint64_t deadline =
         timeout_ns > 0 ? obs::now_ns() + timeout_ns : 0;
@@ -330,6 +327,9 @@ void CausalNode::mark_read_only(Addr lo, Addr hi) {
     const Addr base = page_base(pg);
     if (base >= lo && base + cfg_.page_size <= hi) {
       read_only_pages_.insert(pg);
+      if (auto it = cache_.find(pg); it != cache_.end()) {
+        it->second.read_only = true;
+      }
     }
   }
 }
@@ -571,9 +571,11 @@ void CausalNode::complete_pending(const Message& m) {
   if (m.type == MsgType::kReadReply) {
     // A reply that predates one of our own (issued, possibly in-flight)
     // writes to this page must not take effect: the read is ordered after
-    // that write in this node's program order. Retry — the re-sent READ is
-    // FIFO-behind our WRITE at the owner, so this terminates (a rejected
-    // write lowers the requirement when its W_REPLY resolves).
+    // that write in this node's program order. Retry — the re-sent READ
+    // joins the request outbox behind our WRITE (which may not even have
+    // left yet), so FIFO puts it behind the WRITE at the owner and this
+    // terminates (a rejected write lowers the requirement when its W_REPLY
+    // resolves).
     const auto own = own_writes_.find(page_of(m.addr));
     bool predates_own_write =
         own != own_writes_.end() && m.stamp[id_] < own->second.required();
@@ -600,8 +602,7 @@ void CausalNode::complete_pending(const Message& m) {
                             it->second.trace_id);
       req.request_id = m.request_id;
       stats_.bump(Counter::kMsgReadRequest);
-      lock.unlock();
-      send_msg(std::move(req));
+      send_request(lock, std::move(req));
       return;
     }
   }
@@ -785,7 +786,7 @@ bool CausalNode::await_reply(std::future<Value>& fut, std::uint64_t rid,
   // Spin briefly before parking: a reply that lands during the spin costs
   // no futex wake on either side. Simulated runs check once and park as
   // always, so their schedules do not depend on real time.
-  if (spin_for(coop::enabled() ? 0 : reply_spin_budget_ns(), ready)) {
+  if (spin_for(coop::enabled() ? 0 : multicore_spin_ns(kReplySpinNs), ready)) {
     stats_.bump(Counter::kReplySpinHit);
     return true;
   }
@@ -1203,6 +1204,7 @@ void CausalNode::install_page(std::uint64_t page, CachedPage&& cp) {
   }
   lru_.push_front(page);
   cp.lru_it = lru_.begin();
+  cp.read_only = read_only_pages_.contains(page);
   cache_.try_emplace(page, std::move(cp));
 }
 
@@ -1245,11 +1247,8 @@ void CausalNode::invalidate_cache(const VectorClock& threshold,
                                   std::uint64_t trace_id) {
   obs::Tracer* const tr = stats_.tracer();
   const bool flush_all = cfg_.invalidation == InvalidationStrategy::kFlushAll;
-  const bool any_read_only = !read_only_pages_.empty();
   for (auto it = cache_.begin(); it != cache_.end();) {
-    const bool keep =
-        it->first == keep_page ||
-        (any_read_only && read_only_pages_.contains(it->first));
+    const bool keep = it->first == keep_page || it->second.read_only;
     const bool drop = !keep && (flush_all || it->second.stamp.before(threshold));
     if (drop) {
       stats_.bump(Counter::kInvalidationApplied);
@@ -1329,6 +1328,12 @@ void CausalNode::send_msg(Message&& m) {
   transport_.send(std::move(m));
 }
 
+void CausalNode::send_request(std::unique_lock<std::mutex>& lock,
+                              Message&& req) {
+  requests_.push(std::move(req));
+  requests_.flush(lock, [this](Message&& m) { send_msg(std::move(m)); });
+}
+
 void CausalNode::apply_piggyback(const Message& m) {
   if (!copysets_on()) return;
   if (m.unsub_pages.empty() && m.inval_pages.empty() && m.inval_acked == 0) {
@@ -1360,8 +1365,8 @@ void CausalNode::apply_piggyback(const Message& m) {
       // against an own write still in flight: the own-write requirement in
       // complete_pending forces any subsequent read to wait for a reply
       // that covers it.
-      if (read_only_pages_.contains(pg)) continue;
-      if (auto it = cache_.find(pg); it != cache_.end()) {
+      if (auto it = cache_.find(pg);
+          it != cache_.end() && !it->second.read_only) {
         stats_.bump(Counter::kShardInvalApplied);
         if (tr != nullptr) {
           tr->record(obs::TraceEventKind::kShardInval, 0, m.from, a, &vt_);

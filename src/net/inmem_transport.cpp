@@ -13,17 +13,29 @@ namespace {
 // Proof obligation: every send site of an eligible type, in every protocol
 // layer, must hold no node or channel lock at the call — the inline path
 // runs the receiver's handler (which takes the receiver's locks, and may
-// itself send) before send() returns. Reply types qualify: all four DSM
-// node implementations build replies under their mutex but send after
-// releasing it (AtomicNode queues every owner-side send in an outbox that
-// one drainer flushes with the mutex released), and ReliableChannel's acks
-// are sent outside its channel locks. Request types do NOT qualify
-// (CausalNode sends its requests under its operation mutex; requesters
-// send while their own reply future is registered), and one-way updates
-// (kBroadcastUpdate, kHeartbeat) stay on the queued path so their fan-out
-// keeps its cost off the sending thread.
+// itself send, possibly inline back to the sender) before send() returns.
+// The send sites, layer by layer:
+//   - CausalNode: READ/WRITE requests are queued under the operation mutex
+//     in issue order and sent by one drainer with the mutex released
+//     (OrderedOutbox, send_request); replies are built under the mutex and
+//     sent after releasing it (send_reply).
+//   - AtomicNode: requests are sent with no lock held; every owner-side
+//     send (R_REPLY, W_REPLY, INV, INV_ACK) goes through its OrderedOutbox,
+//     drained with the mutex released.
+//   - BroadcastNode sends none of these types.
+//   - ReliableChannel forwards data frames and sends its acks outside its
+//     channel locks; FaultyTransport forwards (directly or from its delay
+//     timer) outside its channel and delay-queue locks.
+// A handler running inline holds the channel's in-flight claim, so a send
+// it makes back on the same channel queues instead of recursing; recursion
+// depth is bounded by the number of channels. One-way updates
+// (kBroadcastUpdate, kHeartbeat, kInvalBatch) and election/resync polls
+// stay on the queued path: some are sent under a node mutex, and fan-outs
+// keep their cost off the sending thread.
 constexpr bool inline_eligible(MsgType t) noexcept {
   switch (t) {
+    case MsgType::kRead:
+    case MsgType::kWrite:
     case MsgType::kReadReply:
     case MsgType::kWriteReply:
     case MsgType::kSyncReply:

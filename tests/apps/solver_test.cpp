@@ -252,6 +252,27 @@ TEST(DecentralizedSolver, BarrierVersionBitExactOnAtomic) {
   decentralized_matches_reference<AtomicNode>();
 }
 
+TEST(MessageCounts, CausalEffectiveCountIsExactAcrossRuns) {
+  // Every failed spin poll that went to the owner is busy-wait overhead
+  // (kSpinRefetch), so what is left is the protocol's own count and does
+  // not depend on timing: 2n+6 per worker per iteration, plus a one-off
+  // 2n(n+2) — each worker fetches its n+1 read-only constants (row i of A
+  // and b_i) once, and the coordinator fetches the n results at the end.
+  for (const std::size_t n : {3u, 5u}) {
+    const std::size_t iters = 10;
+    const SolverProblem p = SolverProblem::random(n, 77);
+    const auto expected =
+        static_cast<std::int64_t>((2 * n + 6) * n * iters + 2 * n * (n + 2));
+    for (int run = 0; run < 2; ++run) {
+      StatsSnapshot s{};
+      (void)run_sync_on<CausalNode>(p, iters, {}, nullptr, &s);
+      EXPECT_EQ(s.effective_messages(), expected)
+          << "n=" << n << " run " << run << ": " << s.messages_sent()
+          << " sent, " << s[Counter::kSpinRefetch] << " spin re-fetches";
+    }
+  }
+}
+
 TEST(MessageCounts, CausalBeatsAtomicPerIteration) {
   // The paper's analytical claim, measured: causal ~ 2n+6, atomic >= 3n+5
   // effective messages per worker per iteration (spin refetches excluded).

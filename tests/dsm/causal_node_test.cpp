@@ -31,6 +31,25 @@ TEST(CausalNode, RemoteReadFetchesFromOwner) {
   EXPECT_EQ(total[Counter::kMsgReadReply], 1u);
 }
 
+TEST(CausalNode, PageMarkedReadOnlyAfterCachingSurvivesSweep) {
+  CausalSystem sys(2);
+  sys.memory(1).write(1, 7);  // node 1 owns the odd addresses
+  sys.memory(1).write(5, 9);
+  // Newest first: fetching the older copy sweeps nothing.
+  EXPECT_EQ(sys.memory(0).read(5), 9);
+  EXPECT_EQ(sys.memory(0).read(1), 7);
+  ASSERT_TRUE(sys.node(0).is_cached(1));
+  ASSERT_TRUE(sys.node(0).is_cached(5));
+  sys.memory(0).mark_read_only(1, 2);  // after addr 1's page was cached
+  // A causal interaction: the fetched value's stamp dominates both cached
+  // copies, so the reply's invalidation sweep drops every non-exempt one.
+  sys.memory(1).write(3, 8);
+  EXPECT_EQ(sys.memory(0).read(3), 8);
+  EXPECT_FALSE(sys.node(0).is_cached(5));
+  EXPECT_TRUE(sys.node(0).is_cached(1));
+  EXPECT_EQ(sys.memory(0).read(1), 7);
+}
+
 TEST(CausalNode, RemoteReadIsCachedAfterMiss) {
   CausalSystem sys(2);
   sys.memory(1).write(1, 7);

@@ -5,14 +5,16 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace causalmem {
 namespace {
 
-Message make_msg(NodeId from, NodeId to, std::uint64_t seq) {
+Message make_msg(NodeId from, NodeId to, std::uint64_t seq,
+                 MsgType type = MsgType::kBroadcastUpdate) {
   Message m;
-  m.type = MsgType::kBroadcastUpdate;
+  m.type = type;
   m.from = from;
   m.to = to;
   m.request_id = seq;
@@ -154,6 +156,125 @@ TEST(InMemTransport, ManyToOneAllDelivered) {
   while (got.load() < kPer * (kNodes - 1)) std::this_thread::yield();
   EXPECT_EQ(got.load(), kPer * (kNodes - 1));
   t.shutdown();
+}
+
+// --- inline delivery fast path -------------------------------------------
+
+/// Records, per delivery, the message's request_id and the thread that ran
+/// the handler.
+struct DeliveryLog {
+  std::mutex mu;
+  std::vector<std::uint64_t> ids;
+  std::vector<std::thread::id> threads;
+
+  void add(const Message& m) {
+    std::scoped_lock lock(mu);
+    ids.push_back(m.request_id);
+    threads.push_back(std::this_thread::get_id());
+  }
+  std::size_t size() {
+    std::scoped_lock lock(mu);
+    return ids.size();
+  }
+};
+
+TEST(InMemTransport, EligibleTypeOnIdleChannelRunsOnSendersThread) {
+  InMemTransport t(2);
+  DeliveryLog log;
+  t.register_node(0, [](const Message&) {});
+  t.register_node(1, [&](const Message& m) { log.add(m); });
+  t.start();
+  const MsgType eligible[] = {MsgType::kRead,        MsgType::kWrite,
+                              MsgType::kReadReply,   MsgType::kWriteReply,
+                              MsgType::kSyncReply,   MsgType::kRecoverReply,
+                              MsgType::kRelAck};
+  std::uint64_t seq = 0;
+  for (const MsgType type : eligible) {
+    t.send(make_msg(0, 1, ++seq, type));
+    // Inline: the handler already ran, on this thread, before send returned.
+    ASSERT_EQ(log.size(), seq) << msg_type_name(type);
+    EXPECT_EQ(log.threads.back(), std::this_thread::get_id())
+        << msg_type_name(type);
+  }
+  t.shutdown();
+}
+
+TEST(InMemTransport, BusyChannelQueuesEligibleTypesInFifoOrder) {
+  InMemTransport t(2);
+  DeliveryLog log;
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocking{false};
+  t.register_node(0, [](const Message&) {});
+  t.register_node(1, [&](const Message& m) {
+    if (m.request_id == 0) {
+      // The first (queued) delivery holds the channel busy.
+      blocking.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }
+    log.add(m);
+  });
+  t.start();
+  t.send(make_msg(0, 1, 0));  // one-way type: delivered by the worker
+  while (!blocking.load()) std::this_thread::yield();
+  constexpr std::uint64_t kCount = 50;
+  for (std::uint64_t i = 1; i <= kCount; ++i) {
+    t.send(make_msg(0, 1, i, i % 2 == 0 ? MsgType::kRead
+                                        : MsgType::kReadReply));
+  }
+  // None ran inline: the channel was busy, so each send only queued.
+  EXPECT_EQ(log.size(), 0u);
+  release.store(true);
+  while (t.delivered_count() < kCount + 1) std::this_thread::yield();
+  t.shutdown();
+  ASSERT_EQ(log.ids.size(), kCount + 1);
+  for (std::uint64_t i = 0; i <= kCount; ++i) {
+    EXPECT_EQ(log.ids[i], i);
+    EXPECT_NE(log.threads[i], std::this_thread::get_id());
+  }
+}
+
+TEST(InMemTransport, ChannelWithLatencyNeverInlines) {
+  LatencyModel slow;
+  slow.base = std::chrono::microseconds(20000);
+  InMemTransport t(2);
+  t.set_channel_latency(0, 1, slow);
+  DeliveryLog log;
+  t.register_node(0, [](const Message&) {});
+  t.register_node(1, [&](const Message& m) { log.add(m); });
+  t.start();
+  t.send(make_msg(0, 1, 1, MsgType::kRead));
+  t.send(make_msg(0, 1, 2, MsgType::kReadReply));
+  EXPECT_EQ(log.size(), 0u);  // still waiting out the channel's latency
+  while (t.delivered_count() < 2) std::this_thread::yield();
+  t.shutdown();
+  ASSERT_EQ(log.ids.size(), 2u);
+  EXPECT_EQ(log.ids[0], 1u);
+  EXPECT_EQ(log.ids[1], 2u);
+  for (const std::thread::id& id : log.threads) {
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
+}
+
+TEST(InMemTransport, OneWayTypesNeverInline) {
+  InMemTransport t(2);
+  DeliveryLog log;
+  t.register_node(0, [](const Message&) {});
+  t.register_node(1, [&](const Message& m) { log.add(m); });
+  t.start();
+  const MsgType one_way[] = {MsgType::kInvalBatch, MsgType::kBroadcastUpdate,
+                             MsgType::kHeartbeat};
+  std::uint64_t seq = 0;
+  for (const MsgType type : one_way) {
+    t.send(make_msg(0, 1, ++seq, type));
+    // Wait for this one, so the next send finds the channel idle again.
+    while (t.delivered_count() < seq) std::this_thread::yield();
+  }
+  t.shutdown();
+  ASSERT_EQ(log.threads.size(), 3u);
+  for (std::size_t i = 0; i < log.threads.size(); ++i) {
+    EXPECT_NE(log.threads[i], std::this_thread::get_id())
+        << msg_type_name(one_way[i]);
+  }
 }
 
 }  // namespace
